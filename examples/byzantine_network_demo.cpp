@@ -129,7 +129,7 @@ int main() {
     bool clean = true;
     for (auto& rep : replicas) {
         for (std::uint64_t s = 1; s <= rep->log().size(); ++s) {
-            if (!rep->log().at(s).noop && rep->log().at(s).oc.digest == evil) clean = false;
+            if (!rep->log().at(s).noop() && rep->log().at(s).oc().digest == evil) clean = false;
         }
     }
     std::printf("forged content in any replica log: %s\n", clean ? "NO" : "YES (BUG!)");

@@ -30,7 +30,13 @@ TrustRoot::TrustRoot(CryptoMode mode, std::uint64_t seed, CryptoCosts costs)
     : mode_(mode),
       costs_(costs),
       master_secret_(master_secret_from_seed(seed)),
-      master_key_(master_secret_) {}
+      master_key_(master_secret_) {
+    // Modeled tags are checked by recomputing one HMAC, so only real mode
+    // pays for memo slots.
+    if (mode_ == CryptoMode::kReal) {
+        for (MemoShard& shard : memo_shards_) shard.memo = VerifyMemo(kSlotsPerShard);
+    }
+}
 
 Bytes TrustRoot::derive(std::string_view label, std::uint64_t a, std::uint64_t b) const {
     Writer w(32);
@@ -59,18 +65,20 @@ const QTable* TrustRoot::signer_table(NodeId node) const {
     return it == signer_tables_.end() ? nullptr : it->second.get();
 }
 
-std::uint64_t TrustRoot::shared_memo_hits() const {
-    std::uint64_t total = 0;
-    for (const MemoShard& shard : shared_memo_) {
+TrustRoot::MemoStats TrustRoot::memo_stats() const {
+    MemoStats stats;
+    for (MemoShard& shard : memo_shards_) {
         std::lock_guard<std::mutex> lock(shard.m);
-        total += shard.memo.hits();
+        stats.hits += shard.memo.hits();
+        stats.misses += shard.memo.misses();
+        stats.capacity += shard.memo.capacity();
     }
-    return total;
+    return stats;
 }
 
-bool TrustRoot::shared_find(NodeId signer, const Digest32& digest, BytesView sig,
-                            bool* valid) const {
-    MemoShard& shard = shared_memo_[digest[0] % kMemoShards];
+bool TrustRoot::memo_find(NodeId signer, const Digest32& digest, BytesView sig,
+                          bool* valid) const {
+    MemoShard& shard = memo_shards_[digest[0] % kMemoShards];
     std::lock_guard<std::mutex> lock(shard.m);
     const bool* verdict = shard.memo.find(signer, digest, sig);
     if (verdict == nullptr) return false;
@@ -78,9 +86,9 @@ bool TrustRoot::shared_find(NodeId signer, const Digest32& digest, BytesView sig
     return true;
 }
 
-void TrustRoot::shared_insert(NodeId signer, const Digest32& digest, BytesView sig,
-                              bool valid) const {
-    MemoShard& shard = shared_memo_[digest[0] % kMemoShards];
+void TrustRoot::memo_insert(NodeId signer, const Digest32& digest, BytesView sig,
+                            bool valid) const {
+    MemoShard& shard = memo_shards_[digest[0] % kMemoShards];
     std::lock_guard<std::mutex> lock(shard.m);
     shard.memo.insert(signer, digest, sig, valid);
 }
@@ -122,9 +130,13 @@ bool TrustRoot::verify_unmetered(NodeId signer, BytesView msg, BytesView sig) co
     auto parsed = EcdsaSignature::parse(sig);
     if (!parsed) return false;
     Digest32 digest = sha256(msg);
-    if (const bool* memoed = memo_.find(signer, digest, sig)) return *memoed;
-    bool ok = ecdsa_verify(it->second, digest, *parsed);
-    memo_.insert(signer, digest, sig, ok);
+    const bool use_memo = host_crypto_tuning().shared_memo.load(std::memory_order_relaxed);
+    bool ok = false;
+    if (use_memo && memo_find(signer, digest, sig, &ok)) return ok;
+    const QTable* table = use_memo ? signer_table(signer) : nullptr;
+    ok = table != nullptr ? ecdsa_verify_with(*table, digest, *parsed)
+                          : ecdsa_verify(it->second, digest, *parsed);
+    if (use_memo) memo_insert(signer, digest, sig, ok);
     return ok;
 }
 
@@ -142,52 +154,22 @@ Bytes NodeCrypto::sign(BytesView msg) {
     return sig.serialize();
 }
 
-bool NodeCrypto::verify_cached(NodeId signer, BytesView msg, BytesView sig) {
-    // Same logic as TrustRoot::verify_unmetered, but memoised in this
-    // node's private table so the fast path never takes a lock. On a
-    // private miss the cross-node shared memo is consulted (one short
-    // critical section) before paying for EC math: in a simulated
-    // deployment every replica verifies the same broadcast bytes, so all
-    // but the first verifier hit the shared table.
-    if (sig.size() != kSignatureSize) return false;
-    if (root_->mode_ == CryptoMode::kModeled) {
-        return ct_equal(root_->modeled_sign(signer, msg), sig);
-    }
-    auto it = root_->public_keys_.find(signer);
-    if (it == root_->public_keys_.end()) return false;
-    auto parsed = EcdsaSignature::parse(sig);
-    if (!parsed) return false;
-    Digest32 digest = sha256(msg);
-    if (const bool* memoed = memo_.find(signer, digest, sig)) return *memoed;
-    const bool use_shared = host_crypto_tuning().shared_memo.load(std::memory_order_relaxed);
-    if (use_shared) {
-        bool shared_ok = false;
-        if (root_->shared_find(signer, digest, sig, &shared_ok)) {
-            memo_.insert(signer, digest, sig, shared_ok);
-            return shared_ok;
-        }
-    }
-    const QTable* table = use_shared ? root_->signer_table(signer) : nullptr;
-    bool ok = table != nullptr ? ecdsa_verify_with(*table, digest, *parsed)
-                               : ecdsa_verify(it->second, digest, *parsed);
-    memo_.insert(signer, digest, sig, ok);
-    if (use_shared) root_->shared_insert(signer, digest, sig, ok);
-    return ok;
-}
-
-const SipKey& NodeCrypto::peer_key(NodeId peer) {
-    auto it = peer_keys_.find(peer);
-    if (it == peer_keys_.end()) {
-        it = peer_keys_.emplace(peer, root_->pair_key(self_, peer)).first;
-    }
-    return it->second;
+SipKey NodeCrypto::peer_key(NodeId peer) {
+    // Peer ids can come from decoded (untrusted) messages: only ids below
+    // the cap get a table slot, so a forged id cannot force a huge resize.
+    constexpr NodeId kMaxCachedPeer = 1u << 14;
+    if (peer >= kMaxCachedPeer) return root_->pair_key(self_, peer);
+    if (peer >= peer_keys_.size()) peer_keys_.resize(peer + 1);
+    std::optional<SipKey>& key = peer_keys_[peer];
+    if (!key) key = root_->pair_key(self_, peer);
+    return *key;
 }
 
 bool NodeCrypto::verify(NodeId signer, BytesView msg, BytesView sig) {
     meter_.verifies++;
     meter_.charge(root_->costs().ecdsa_dispatch_ns);
     meter_.charge_async(root_->costs().ecdsa_verify_ns);
-    return verify_cached(signer, msg, sig);
+    return root_->verify_unmetered(signer, msg, sig);
 }
 
 std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) {
@@ -206,14 +188,16 @@ std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) 
     if (!batch) {
         std::vector<bool> out;
         out.reserve(items.size());
-        for (const auto& item : items) out.push_back(verify_cached(item.signer, item.msg, item.sig));
+        for (const auto& item : items) {
+            out.push_back(root_->verify_unmetered(item.signer, item.msg, item.sig));
+        }
         return out;
     }
 
     // Resolve each item: structural rejects and memo hits settle now; the
     // remainder becomes one shared-precomputation batch with the signers'
     // provision-time wNAF tables.
-    const bool use_shared = host_crypto_tuning().shared_memo.load(std::memory_order_relaxed);
+    const bool use_memo = host_crypto_tuning().shared_memo.load(std::memory_order_relaxed);
     std::vector<bool> out(items.size(), false);
     std::vector<BatchVerifyItem> pending;
     std::vector<std::size_t> pending_idx;
@@ -226,17 +210,10 @@ std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) 
         auto parsed = EcdsaSignature::parse(item.sig);
         if (!parsed) continue;
         Digest32 digest = sha256(item.msg);
-        if (const bool* memoed = memo_.find(item.signer, digest, item.sig)) {
-            out[i] = *memoed;
+        bool memoed = false;
+        if (use_memo && root_->memo_find(item.signer, digest, item.sig, &memoed)) {
+            out[i] = memoed;
             continue;
-        }
-        if (use_shared) {
-            bool shared_ok = false;
-            if (root_->shared_find(item.signer, digest, item.sig, &shared_ok)) {
-                memo_.insert(item.signer, digest, item.sig, shared_ok);
-                out[i] = shared_ok;
-                continue;
-            }
         }
         pending.push_back(BatchVerifyItem{&it->second, root_->signer_table(item.signer), digest,
                                           *parsed});
@@ -249,10 +226,8 @@ std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) 
         for (std::size_t j = 0; j < pending.size(); ++j) {
             std::size_t i = pending_idx[j];
             out[i] = verdicts[j];
-            memo_.insert(pending_signer[j], pending[j].digest, items[i].sig, verdicts[j]);
-            if (use_shared) {
-                root_->shared_insert(pending_signer[j], pending[j].digest, items[i].sig,
-                                     verdicts[j]);
+            if (use_memo) {
+                root_->memo_insert(pending_signer[j], pending[j].digest, items[i].sig, verdicts[j]);
             }
         }
     }
@@ -262,7 +237,7 @@ std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) 
 Bytes NodeCrypto::mac_for(NodeId peer, BytesView msg) {
     meter_.macs++;
     meter_.charge(root_->costs().mac_ns);
-    const SipKey& key = peer_key(peer);
+    SipKey key = peer_key(peer);
     std::uint64_t tag = siphash24(key, msg);
     Bytes out(kMacSize);
     for (std::size_t i = 0; i < kMacSize; ++i) out[i] = static_cast<std::uint8_t>(tag >> (8 * i));
@@ -273,7 +248,7 @@ bool NodeCrypto::check_mac_from(NodeId peer, BytesView msg, BytesView tag) {
     meter_.macs++;
     meter_.charge(root_->costs().mac_ns);
     if (tag.size() != kMacSize) return false;
-    const SipKey& key = peer_key(peer);
+    SipKey key = peer_key(peer);
     std::uint64_t expect = siphash24(key, msg);
     Bytes eb(kMacSize);
     for (std::size_t i = 0; i < kMacSize; ++i) eb[i] = static_cast<std::uint8_t>(expect >> (8 * i));

@@ -20,6 +20,7 @@
 #include <array>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -48,10 +49,10 @@ class NodeCrypto;
 /// System-wide key directory. Create once per simulation, share between all
 /// nodes. Const after setup: every mutating call (provision, key
 /// registration) happens before the simulation runs, so concurrent reads
-/// from parallel simulator workers are safe. Host-side caching of verify
-/// verdicts and pairwise keys lives in each NodeCrypto — node-private state
-/// that stays on the node's partition — except verify_unmetered's memo,
-/// which serves single-threaded external checkers only.
+/// from parallel simulator workers are safe. The one exception is the
+/// host-side verify-verdict memo, which every verifier in the process
+/// shares behind sharded locks; pairwise MAC keys are cached per node in
+/// NodeCrypto.
 class TrustRoot {
   public:
     TrustRoot(CryptoMode mode, std::uint64_t seed, CryptoCosts costs = {});
@@ -69,24 +70,25 @@ class TrustRoot {
     /// Derives the symmetric key shared by a pair of nodes.
     SipKey pair_key(NodeId a, NodeId b) const;
 
-    /// Verifies a signature without a NodeCrypto context (e.g. external
-    /// checkers in tests). Does not charge any cost meter. Single-threaded
-    /// callers only (its memo is shared process state); simulated nodes
-    /// verify through their own NodeCrypto.
+    /// Verifies a signature without charging any cost meter: the host-side
+    /// work behind NodeCrypto::verify, also used directly by external
+    /// checkers in tests. Safe from any thread (the memo it consults is
+    /// lock-sharded).
     bool verify_unmetered(NodeId signer, BytesView msg, BytesView sig) const;
-
-    /// Host-time memo of (signer, digest, sig) verdicts used by
-    /// verify_unmetered. Exposed for instrumentation.
-    const VerifyMemo& verify_memo() const { return memo_; }
 
     /// Cached wNAF table for a provisioned signer's public key (kReal
     /// only; built once at provision time, immutable afterwards — safe to
     /// read from any partition without locks). Null when unknown.
     const QTable* signer_table(NodeId node) const;
 
-    /// Total hits on the cross-node shared verdict memo (host-side
-    /// instrumentation; see NodeCrypto::verify).
-    std::uint64_t shared_memo_hits() const;
+    /// Host-side instrumentation of the verdict memo, summed over shards.
+    /// Capacity is 0 in kModeled, which never consults the memo.
+    struct MemoStats {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        std::size_t capacity = 0;
+    };
+    MemoStats memo_stats() const;
 
   private:
     friend class NodeCrypto;
@@ -94,19 +96,19 @@ class TrustRoot {
     Bytes derive(std::string_view label, std::uint64_t a, std::uint64_t b) const;
     Bytes modeled_sign(NodeId signer, BytesView msg) const;
 
-    /// Cross-node shared verdict memo. Verification is a pure function of
+    /// The process's one verdict memo. Verification is a pure function of
     /// (public key, digest, signature), and in a simulated deployment every
-    /// replica verifies the SAME broadcast bytes — node-private memos pay
-    /// the EC math once per node, this shard pays it once per process.
-    /// Mutex-sharded because parallel partitions hit it concurrently; a
-    /// miss costs one short critical section. Host-time only: each node
-    /// still charges full virtual cost, so simulated results are identical
-    /// with the shared memo on or off (HostCryptoTuning::shared_memo).
-    /// Returns true and fills *valid on a hit. The verdict is copied out
-    /// under the shard lock — never a pointer into the shard, which a
-    /// concurrent insert could recycle.
-    bool shared_find(NodeId signer, const Digest32& digest, BytesView sig, bool* valid) const;
-    void shared_insert(NodeId signer, const Digest32& digest, BytesView sig, bool valid) const;
+    /// replica verifies the SAME broadcast bytes, so a shared table pays
+    /// the EC math once per process where per-node tables paid it once per
+    /// node and almost never hit. Mutex-sharded because parallel partitions
+    /// hit it concurrently; a lookup costs one short critical section.
+    /// Host-time only: each node still charges full virtual cost, so
+    /// simulated results are identical with the memo on or off
+    /// (HostCryptoTuning::shared_memo). Returns true and fills *valid on a
+    /// hit. The verdict is copied out under the shard lock — never a
+    /// pointer into the shard, which a concurrent insert could recycle.
+    bool memo_find(NodeId signer, const Digest32& digest, BytesView sig, bool* valid) const;
+    void memo_insert(NodeId signer, const Digest32& digest, BytesView sig, bool valid) const;
 
     CryptoMode mode_;
     CryptoCosts costs_;
@@ -118,17 +120,14 @@ class TrustRoot {
     std::unordered_map<NodeId, EcdsaPublicKey> public_keys_;
     std::unordered_map<NodeId, std::unique_ptr<QTable>> signer_tables_;
     std::unordered_map<NodeId, bool> provisioned_;
-    // mutable: verify_unmetered is logically const (pure function of the
-    // key material); the memo is a host-side cache of its results. Only
-    // external single-threaded checkers touch it — node verification goes
-    // through NodeCrypto's private memo.
-    mutable VerifyMemo memo_;
+    // Slots are allocated in kReal only (see the constructor).
     struct MemoShard {
-        mutable std::mutex m;
-        mutable VerifyMemo memo{2048};
+        std::mutex m;
+        VerifyMemo memo;
     };
     static constexpr std::size_t kMemoShards = 8;
-    mutable std::array<MemoShard, kMemoShards> shared_memo_;
+    static constexpr std::size_t kSlotsPerShard = 2048;
+    mutable std::array<MemoShard, kMemoShards> memo_shards_;
 };
 
 /// Per-node crypto context. All operations charge the node's CostMeter.
@@ -161,11 +160,6 @@ class NodeCrypto {
     /// SHA-256 with cost charging.
     Digest32 hash(BytesView msg);
 
-    /// This node's host-time memo of (signer, digest, sig) verdicts used by
-    /// the kReal verify path. Node-private — never shared across threads.
-    /// Exposed for instrumentation; callers still charge virtual cost.
-    const VerifyMemo& verify_memo() const { return memo_; }
-
     /// Host-side counters of this node's batch-verification activity
     /// (fast-path batches, bisect descents, forged-leaf rechecks).
     const BatchVerifyStats& batch_stats() const { return batch_stats_; }
@@ -174,18 +168,17 @@ class NodeCrypto {
     friend class TrustRoot;
     NodeCrypto(const TrustRoot* root, NodeId self, EcdsaPrivateKey priv);
 
-    bool verify_cached(NodeId signer, BytesView msg, BytesView sig);
-    const SipKey& peer_key(NodeId peer);
+    SipKey peer_key(NodeId peer);
 
     const TrustRoot* root_;
     NodeId self_;
     EcdsaPrivateKey priv_;
     CostMeter meter_;
-    // Host-side caches, node-private so parallel partitions never contend:
-    // verification verdicts and the pairwise MAC keys this node talks with.
-    VerifyMemo memo_;
     BatchVerifyStats batch_stats_;
-    std::unordered_map<NodeId, SipKey> peer_keys_;
+    // Pairwise MAC keys this node talks with, indexed by peer NodeId (ids
+    // are small and dense) and grown on first contact. Node-private, so
+    // parallel partitions never contend.
+    std::vector<std::optional<SipKey>> peer_keys_;
 };
 
 }  // namespace neo::crypto

@@ -18,8 +18,8 @@ struct HostCryptoTuning {
     /// Shared-precomputation batch ECDSA verification in
     /// NodeCrypto::verify_batch (off = verify one at a time).
     std::atomic<bool> batch_verify{true};
-    /// Cross-node host-side verdict memo + per-signer wNAF tables in
-    /// TrustRoot (off = each node recomputes everything privately).
+    /// TrustRoot's process-wide verdict memo + per-signer wNAF tables
+    /// (off = no memo at all: every verification runs the EC math).
     std::atomic<bool> shared_memo{true};
     /// SIMD 4-wide HalfSipHash in the sequencer data-plane model
     /// (off = scalar lanes).

@@ -5,7 +5,8 @@
 // cached replies, quorum certificates carried in several messages). The
 // memo skips the EC math on repeats — a HOST-time optimisation only. The
 // caller still charges the full virtual-time cost through CostMeter, so
-// simulated results are byte-identical with the memo on or off.
+// simulated results are byte-identical with the memo on or off. TrustRoot
+// holds the process's one instance, lock-sharded across verifiers.
 //
 // The table is keyed by (signer, digest, signature). Within one TrustRoot
 // the signer -> public-key binding is immutable (keys are derived once from
@@ -31,8 +32,10 @@ class VerifyMemo {
     /// Signature width this memo caches (matches kSignatureSize).
     static constexpr std::size_t kSigBytes = 64;
 
-    /// `slots` is rounded up to a power of two; default ~4096 entries.
-    explicit VerifyMemo(std::size_t slots = 4096);
+    /// Empty table (capacity 0): holds no slots and must not be queried.
+    VerifyMemo() = default;
+    /// `slots` is rounded up to a power of two.
+    explicit VerifyMemo(std::size_t slots);
 
     /// Memoised verdict for the tuple, or nullptr on miss. Counts a hit or
     /// a miss; the caller performs (and inserts) the real verification on

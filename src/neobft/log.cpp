@@ -19,13 +19,13 @@ LogEntry& Log::at(std::uint64_t slot) {
 }
 
 Digest32 Log::entry_digest(const LogEntry& e, std::uint64_t slot) {
-    if (e.noop) {
+    if (e.noop()) {
         Writer w(24);
         w.str("neobft-noop");
         w.u64(slot);
         return crypto::sha256(w.bytes());
     }
-    return e.oc.digest;
+    return e.oc().digest;
 }
 
 void Log::append(LogEntry entry) {
@@ -83,11 +83,11 @@ void Log::reset_base(std::uint64_t slot, const Digest32& hash) {
 WireLogEntry Log::wire_entry(std::uint64_t slot) const {
     const LogEntry& e = at(slot);
     WireLogEntry w;
-    w.noop = e.noop;
-    if (e.noop) {
-        w.gap_cert = e.gap_cert;
+    w.noop = e.noop();
+    if (w.noop) {
+        w.gap_cert = e.gap_cert();
     } else {
-        w.oc = e.oc;
+        w.oc = e.oc();
     }
     return w;
 }

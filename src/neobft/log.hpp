@@ -3,6 +3,7 @@
 #pragma once
 
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "aom/cert.hpp"
@@ -61,20 +62,25 @@ struct Config {
 };
 
 /// One log position: a client request backed by an ordering certificate, or
-/// a committed no-op backed by a gap certificate.
+/// a committed no-op backed by a gap certificate. The log grows without bound
+/// when checkpointing is off, so an entry holds only one of the two
+/// certificates and no execution result (replies are sent right after
+/// execution and cached per client, not per slot).
 struct LogEntry {
-    bool noop = false;
-    aom::OrderingCert oc;          // when !noop
-    GapCertificate gap_cert;       // when noop
-    Digest32 cum_hash{};           // hash chain up to and including this slot
+    std::variant<aom::OrderingCert, GapCertificate> cert;
+    Digest32 cum_hash{};  // hash chain up to and including this slot
 
     // Execution bookkeeping (not part of the durable entry).
     bool executed = false;
-    bool applied = false;  // app_->execute() actually ran (vs no-op/dup/invalid)
-    Bytes result;
-    bool valid_request = false;    // request parsed + client signature ok
+    bool applied = false;        // app_->execute() actually ran (vs no-op/dup/invalid)
+    bool valid_request = false;  // request parsed + client signature ok
     NodeId client = 0;
     std::uint64_t request_id = 0;
+
+    bool noop() const { return std::holds_alternative<GapCertificate>(cert); }
+    /// The entry's certificate; the wrong kind for this entry throws.
+    const aom::OrderingCert& oc() const { return std::get<aom::OrderingCert>(cert); }
+    const GapCertificate& gap_cert() const { return std::get<GapCertificate>(cert); }
 };
 
 /// 1-indexed append-only log (slot 0 is the empty prefix). Checkpointing

@@ -165,7 +165,6 @@ void Replica::drain_backlog() {
 
 void Replica::append_request(aom::OrderingCert oc) {
     LogEntry entry;
-    entry.noop = false;
 
     // Parse + authenticate the client request carried in the payload. All
     // correct replicas see the same bytes and reach the same verdict, so an
@@ -176,7 +175,7 @@ void Replica::append_request(aom::OrderingCert oc) {
         entry.client = req->client;
         entry.request_id = req->request_id;
     }
-    entry.oc = std::move(oc);
+    entry.cert = std::move(oc);
     log_.append(std::move(entry));
     crypto_->meter().charge(crypto_->root().costs().hash_base_ns);  // hash chain step
 
@@ -192,14 +191,14 @@ void Replica::execute_slot(std::uint64_t slot) {
     entry.executed = true;
     if (auditor_) {
         auditor_->on_execute(sim().current_shard(), sim().now(), id(), slot,
-                             audit_digest(entry), entry.noop, audit_replay_, cfg_.group);
+                             audit_digest(entry), entry.noop(), audit_replay_, cfg_.group);
     }
-    if (entry.noop || !entry.valid_request) {
+    if (entry.noop() || !entry.valid_request) {
         executed_ = slot;
         return;
     }
 
-    auto req = Request::parse_payload(entry.oc.payload);
+    auto req = Request::parse_payload(entry.oc().payload);
     NEO_ASSERT(req.has_value());
 
     // At-most-once: duplicates (client retries that got sequenced twice)
@@ -214,10 +213,10 @@ void Replica::execute_slot(std::uint64_t slot) {
     }
 
     obs::TraceSink* tr = sim().trace();
-    std::uint64_t tid = tr ? obs::trace_id(entry.oc.payload) : 0;
+    std::uint64_t tid = tr ? obs::trace_id(entry.oc().payload) : 0;
     if (tr) tr->span_begin(sim().now(), id(), "execute", tid, slot);
     charge(app_->execute_cost_ns(req->op));
-    entry.result = app_->execute(req->op);
+    Bytes result = app_->execute(req->op);
     entry.applied = true;
     executed_ = slot;
     ++stats_.requests_executed;
@@ -226,18 +225,18 @@ void Replica::execute_slot(std::uint64_t slot) {
         tr->span_end(sim().now(), id(), "execute", tid, slot);
     }
     pending_client_requests_.erase(entry.client);
-    send_reply(slot);
+    send_reply(slot, std::move(result));
 }
 
-void Replica::send_reply(std::uint64_t slot) {
-    LogEntry& entry = log_.at(slot);
+void Replica::send_reply(std::uint64_t slot, Bytes result) {
+    const LogEntry& entry = log_.at(slot);
     Reply reply;
     reply.view = view_;
     reply.replica = id();
     reply.slot = slot;
     reply.log_hash = log_.hash_at(slot);
     reply.request_id = entry.request_id;
-    reply.result = entry.result;
+    reply.result = result;
     // Equivocation fault injection: this replica's replies diverge from the
     // honest ones (a poison byte, properly MAC'd). Clients still commit off
     // the honest 2f+1 matching replies.
@@ -247,7 +246,7 @@ void Replica::send_reply(std::uint64_t slot) {
 
     ClientRecord& rec = clients_[entry.client];
     rec.last_request_id = entry.request_id;
-    rec.last_result = entry.result;
+    rec.last_result = std::move(result);
     rec.cached_reply = wire;
     send_to(entry.client, std::move(wire));
     ++stats_.replies_sent;
@@ -327,11 +326,11 @@ void Replica::on_query(NodeId from, Reader& r) {
     Query q = Query::parse(r);
     if (!cfg_.is_replica(from)) return;
     if (q.view != view_) return;
-    if (log_.has(q.slot) && !log_.at(q.slot).noop) {
+    if (log_.has(q.slot) && !log_.at(q.slot).noop()) {
         QueryReply qr;
         qr.view = view_;
         qr.slot = q.slot;
-        qr.oc = log_.at(q.slot).oc;
+        qr.oc = log_.at(q.slot).oc();
         send_to(from, qr.serialize());
     } else if (log_.has(q.slot)) {
         // Committed no-op: hand over the agreement's certificate so a
@@ -340,7 +339,7 @@ void Replica::on_query(NodeId from, Reader& r) {
         GapCertReply gr;
         gr.view = view_;
         gr.slot = q.slot;
-        gr.cert = log_.at(q.slot).gap_cert;
+        gr.cert = log_.at(q.slot).gap_cert();
         send_to(from, gr.serialize());
     } else {
         pending_queries_[q.slot].insert(from);
@@ -461,11 +460,11 @@ void Replica::on_gap_find(NodeId from, Reader& r) {
     GapRound& round = gaps_[m.slot];
     round.find_received = true;
 
-    if (log_.has(m.slot) && !log_.at(m.slot).noop) {
+    if (log_.has(m.slot) && !log_.at(m.slot).noop()) {
         GapRecv recv;
         recv.view = view_;
         recv.slot = m.slot;
-        recv.oc = log_.at(m.slot).oc;
+        recv.oc = log_.at(m.slot).oc();
         send_to(from, recv.serialize());
     } else if (blocked_slot_.has_value() && *blocked_slot_ == m.slot && !round.sent_gap_drop) {
         GapDrop drop;
@@ -719,8 +718,7 @@ void Replica::commit_noop(std::uint64_t slot, GapCertificate cert) {
     if (!log_.has(slot)) {
         NEO_ASSERT(slot == log_.size() + 1);
         LogEntry entry;
-        entry.noop = true;
-        entry.gap_cert = std::move(cert);
+        entry.cert = std::move(cert);
         log_.append(std::move(entry));
         log_.at(slot).executed = true;
         executed_ = slot;
@@ -732,13 +730,12 @@ void Replica::commit_noop(std::uint64_t slot, GapCertificate cert) {
         maybe_start_sync();
         return;
     }
-    if (log_.at(slot).noop) return;
+    if (log_.at(slot).noop()) return;
 
     // Speculatively executed request superseded by a committed no-op: roll
     // back and re-execute the tail (§5.4 last paragraph).
     LogEntry entry;
-    entry.noop = true;
-    entry.gap_cert = std::move(cert);
+    entry.cert = std::move(cert);
     entry.executed = true;
     rollback_and_reexecute_replace(slot, std::move(entry));
 }
@@ -778,22 +775,22 @@ void Replica::rollback_and_reexecute_replace(std::uint64_t slot, LogEntry replac
         LogEntry& e = log_.at(s);
         if (auditor_) {
             auditor_->on_execute(sim().current_shard(), sim().now(), id(), s, audit_digest(e),
-                                 e.noop, true, cfg_.group);
+                                 e.noop(), true, cfg_.group);
         }
-        if (e.noop || !e.valid_request) {
+        if (e.noop() || !e.valid_request) {
             e.executed = true;
             executed_ = s;
             maybe_take_checkpoint(s);
             continue;
         }
-        auto req = Request::parse_payload(e.oc.payload);
+        auto req = Request::parse_payload(e.oc().payload);
         NEO_ASSERT(req.has_value());
         charge(app_->execute_cost_ns(req->op));
-        e.result = app_->execute(req->op);
+        Bytes result = app_->execute(req->op);
         e.executed = true;
         e.applied = true;
         executed_ = s;
-        send_reply(s);
+        send_reply(s, std::move(result));
         maybe_take_checkpoint(s);
     }
     executed_ = log_.size();
@@ -848,11 +845,10 @@ void Replica::try_complete_sync(std::uint64_t slot) {
     // First apply committed no-ops we may have missed.
     for (auto& [node, msg] : it->second) {
         for (const auto& cert : msg.drops) {
-            if (!cert.recv && log_.has(cert.slot) && !log_.at(cert.slot).noop) {
+            if (!cert.recv && log_.has(cert.slot) && !log_.at(cert.slot).noop()) {
                 if (verify_gap_certificate(cert, cfg_, *crypto_)) {
                     LogEntry entry;
-                    entry.noop = true;
-                    entry.gap_cert = cert;
+                    entry.cert = cert;
                     entry.executed = true;
                     rollback_and_reexecute_replace(cert.slot, std::move(entry));
                 }
@@ -919,8 +915,8 @@ void Replica::try_complete_sync(std::uint64_t slot) {
 // --------------------------------------- checkpointing + crash recovery
 
 std::uint64_t Replica::audit_digest(const LogEntry& e) const {
-    if (e.noop) return 0;
-    std::uint64_t d = obs::trace_id(e.oc.payload);
+    if (e.noop()) return 0;
+    std::uint64_t d = obs::trace_id(e.oc().payload);
     // Equivocation fault injection: report a corrupted execution digest so
     // this replica disagrees with the honest ones at the same slot.
     return equivocate_ ? (d ^ 0x6571756976ULL) : d;

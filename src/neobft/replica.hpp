@@ -123,7 +123,7 @@ class Replica : public sim::ProcessingNode, public aom::ReceiverHost {
     std::uint64_t slot_for(EpochNum epoch, SeqNum seq) const;
     void append_request(aom::OrderingCert oc);
     void execute_slot(std::uint64_t slot);
-    void send_reply(std::uint64_t slot);
+    void send_reply(std::uint64_t slot, Bytes result);
     void drain_backlog();
 
     // ---- client unicast fallback ----

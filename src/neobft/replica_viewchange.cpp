@@ -280,9 +280,9 @@ void Replica::on_view_start(NodeId from, Reader& r) {
 namespace {
 /// Digest used to compare a wire entry against a local log entry.
 bool entries_equal(const WireLogEntry& w, const LogEntry& e) {
-    if (w.noop != e.noop) return false;
+    if (w.noop != e.noop()) return false;
     if (w.noop) return true;  // no-ops at the same slot are identical
-    return w.oc.epoch == e.oc.epoch && w.oc.seq == e.oc.seq && w.oc.digest == e.oc.digest;
+    return w.oc.epoch == e.oc().epoch && w.oc.seq == e.oc().seq && w.oc.digest == e.oc().digest;
 }
 }  // namespace
 
@@ -475,8 +475,7 @@ void Replica::apply_merged_log(const std::vector<ViewChange>& msgs, bool epoch_c
         const WireLogEntry& w = merged.at(s);
         if (w.noop) {
             LogEntry entry;
-            entry.noop = true;
-            entry.gap_cert = w.gap_cert;
+            entry.cert = w.gap_cert;
             log_.append(std::move(entry));
             log_.at(s).executed = true;
             executed_ = s;
@@ -487,8 +486,7 @@ void Replica::apply_merged_log(const std::vector<ViewChange>& msgs, bool epoch_c
     for (const auto& w : spare_tail) {
         if (w.noop) {
             LogEntry entry;
-            entry.noop = true;
-            entry.gap_cert = w.gap_cert;
+            entry.cert = w.gap_cert;
             log_.append(std::move(entry));
             log_.at(log_.size()).executed = true;
             executed_ = log_.size();
@@ -691,8 +689,7 @@ void Replica::on_state_reply(NodeId from, Reader& r) {
             const WireLogEntry& e = reply.entries[i];
             if (e.noop) {
                 LogEntry entry;
-                entry.noop = true;
-                entry.gap_cert = e.gap_cert;
+                entry.cert = e.gap_cert;
                 log_.append(std::move(entry));
                 log_.at(slot).executed = true;
                 executed_ = slot;

@@ -1,5 +1,5 @@
 // Host-side crypto tuning switches (HostCryptoTuning: batch verification,
-// the cross-node shared verdict memo, SIMD SipHash) change HOST wall-clock
+// the process-wide verdict memo, SIMD SipHash) change HOST wall-clock
 // only. These tests run full real-crypto deployments with each switch
 // flipped — and with batching on across PDES partition counts — and
 // byte-compare the serialized trace streams plus the derived metrics. Any
@@ -80,7 +80,7 @@ TEST(CryptoDeterminism, TuningSwitchesPreserveTraceBytes) {
     };
     const Combo combos[] = {
         {"batch_off", false, true, true},
-        {"shared_off", true, false, true},
+        {"shared_off", true, false, true},  // no verdict memo at all
         {"simd_off", true, true, false},
         {"all_off", false, false, false},
     };

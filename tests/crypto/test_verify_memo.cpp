@@ -1,7 +1,7 @@
-// The verified-signature memo: skips repeat EC math on the host while the
-// virtual-time cost model stays oblivious — a memo hit and a memo miss
-// charge the node's CostMeter identically, so simulated results cannot
-// depend on cache state.
+// The process-wide verified-signature memo in TrustRoot: skips repeat EC
+// math on the host while the virtual-time cost model stays oblivious — a
+// memo hit and a memo miss charge the node's CostMeter identically, so
+// simulated results cannot depend on cache state.
 #include <gtest/gtest.h>
 
 #include "crypto/identity.hpp"
@@ -18,58 +18,65 @@ Bytes msg_bytes(const char* s) {
 }
 
 TEST(VerifyMemo, RepeatVerificationHitsAndAgrees) {
+    // Every replica verifies the same broadcast bytes: the first verifier
+    // pays the EC math, every later one — on any node — hits.
     TrustRoot root(CryptoMode::kReal, /*seed=*/11);
     auto signer = root.provision(1);
-    auto checker = root.provision(2);
+    auto first = root.provision(2);
+    auto second = root.provision(3);
 
     Bytes msg = msg_bytes("memoised message");
     Bytes sig = signer->sign(msg);
 
-    EXPECT_TRUE(checker->verify(1, msg, sig));
-    std::uint64_t hits_after_first = checker->verify_memo().hits();
-    EXPECT_TRUE(checker->verify(1, msg, sig));
-    EXPECT_TRUE(checker->verify(1, msg, sig));
-    EXPECT_EQ(checker->verify_memo().hits(), hits_after_first + 2);
+    EXPECT_TRUE(first->verify(1, msg, sig));
+    EXPECT_EQ(root.memo_stats().hits, 0u);
+    EXPECT_TRUE(second->verify(1, msg, sig));
+    EXPECT_EQ(root.memo_stats().hits, 1u);
+    EXPECT_TRUE(first->verify(1, msg, sig));
+    EXPECT_TRUE(root.verify_unmetered(1, msg, sig));
+    EXPECT_EQ(root.memo_stats().hits, 3u);
+    EXPECT_EQ(root.memo_stats().misses, 1u);
 }
 
 TEST(VerifyMemo, HitChargesFullVirtualCost) {
     TrustRoot root(CryptoMode::kReal, /*seed=*/12);
     auto signer = root.provision(1);
-    auto checker = root.provision(2);
-    CostMeter& meter = checker->meter();
+    auto first = root.provision(2);
+    auto second = root.provision(3);
 
     Bytes msg = msg_bytes("cost model is host-blind");
     Bytes sig = signer->sign(msg);
 
-    ASSERT_TRUE(checker->verify(1, msg, sig));  // miss: real EC math
-    std::int64_t miss_sync = meter.drain();
-    std::int64_t miss_async = meter.drain_async();
+    ASSERT_TRUE(first->verify(1, msg, sig));  // miss: real EC math
+    std::int64_t miss_sync = first->meter().drain();
+    std::int64_t miss_async = first->meter().drain_async();
 
-    ASSERT_TRUE(checker->verify(1, msg, sig));  // hit: memo only
-    std::int64_t hit_sync = meter.drain();
-    std::int64_t hit_async = meter.drain_async();
+    ASSERT_TRUE(second->verify(1, msg, sig));  // hit: memo only
+    std::int64_t hit_sync = second->meter().drain();
+    std::int64_t hit_async = second->meter().drain_async();
 
-    EXPECT_GT(checker->verify_memo().hits(), 0u);
+    EXPECT_EQ(root.memo_stats().hits, 1u);
     EXPECT_EQ(hit_sync, miss_sync);
     EXPECT_EQ(hit_async, miss_async);
     EXPECT_EQ(hit_sync, root.costs().ecdsa_dispatch_ns);
     EXPECT_EQ(hit_async, root.costs().ecdsa_verify_ns);
-    EXPECT_EQ(meter.verifies, 2u);  // op counters tick on hits too
+    EXPECT_EQ(second->meter().verifies, 1u);  // op counters tick on hits too
 }
 
 TEST(VerifyMemo, InvalidSignaturesAreMemoisedAsInvalid) {
     TrustRoot root(CryptoMode::kReal, /*seed=*/13);
     auto signer = root.provision(1);
-    auto checker = root.provision(2);
+    auto first = root.provision(2);
+    auto second = root.provision(3);
 
     Bytes msg = msg_bytes("tampered");
     Bytes sig = signer->sign(msg);
     sig[10] ^= 0x01;
 
-    EXPECT_FALSE(checker->verify(1, msg, sig));
-    std::uint64_t hits_after_first = checker->verify_memo().hits();
-    EXPECT_FALSE(checker->verify(1, msg, sig));  // hit, still invalid
-    EXPECT_EQ(checker->verify_memo().hits(), hits_after_first + 1);
+    EXPECT_FALSE(first->verify(1, msg, sig));
+    EXPECT_EQ(root.memo_stats().hits, 0u);
+    EXPECT_FALSE(second->verify(1, msg, sig));  // hit, still invalid
+    EXPECT_EQ(root.memo_stats().hits, 1u);
 }
 
 TEST(VerifyMemo, KeyCoversSignerDigestAndSignature) {
@@ -80,6 +87,7 @@ TEST(VerifyMemo, KeyCoversSignerDigestAndSignature) {
 
     Bytes msg = msg_bytes("same message");
     Bytes sig1 = node1->sign(msg);
+    Bytes sig2 = node2->sign(msg);
 
     ASSERT_TRUE(checker->verify(1, msg, sig1));
     // Same (digest, sig) attributed to a different signer must NOT hit the
@@ -88,6 +96,10 @@ TEST(VerifyMemo, KeyCoversSignerDigestAndSignature) {
     // A different message under the same signer is its own entry.
     Bytes other = msg_bytes("different message");
     EXPECT_FALSE(checker->verify(1, other, sig1));
+    // A different signature over the same message by the same signer too.
+    EXPECT_FALSE(checker->verify(1, msg, sig2));
+    EXPECT_EQ(root.memo_stats().hits, 0u);
+    EXPECT_EQ(root.memo_stats().misses, 4u);
 }
 
 TEST(VerifyMemo, CollisionEvictionStaysCorrect) {
@@ -105,11 +117,15 @@ TEST(VerifyMemo, CollisionEvictionStaysCorrect) {
     for (std::uint32_t signer = 0; signer < 64; ++signer) {
         d[0] = static_cast<std::uint8_t>(signer);
         const bool* v = memo.find(signer, d, sig);
-        if (v != nullptr) EXPECT_EQ(*v, signer % 2 == 0);
+        if (v != nullptr) {
+            EXPECT_EQ(*v, signer % 2 == 0);
+        }
     }
 }
 
 TEST(VerifyMemo, ModeledModeBypassesTheMemo) {
+    // Modeled tags are recomputed with one HMAC: the memo is neither
+    // consulted nor allocated.
     TrustRoot root(CryptoMode::kModeled, /*seed=*/15);
     auto signer = root.provision(1);
     auto checker = root.provision(2);
@@ -117,7 +133,11 @@ TEST(VerifyMemo, ModeledModeBypassesTheMemo) {
     Bytes sig = signer->sign(msg);
     EXPECT_TRUE(checker->verify(1, msg, sig));
     EXPECT_TRUE(checker->verify(1, msg, sig));
-    EXPECT_EQ(checker->verify_memo().hits() + checker->verify_memo().misses(), 0u);
+    EXPECT_TRUE(root.verify_unmetered(1, msg, sig));
+    TrustRoot::MemoStats stats = root.memo_stats();
+    EXPECT_EQ(stats.hits + stats.misses, 0u);
+    EXPECT_EQ(stats.capacity, 0u);
+    EXPECT_GT(TrustRoot(CryptoMode::kReal, 15).memo_stats().capacity, 0u);
 }
 
 }  // namespace

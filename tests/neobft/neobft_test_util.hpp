@@ -110,10 +110,10 @@ class NeoDeployment {
                 const Log& lb = replicas[b]->log();
                 std::uint64_t common = std::min(la.size(), lb.size());
                 for (std::uint64_t s = 1; s <= common; ++s) {
-                    ASSERT_EQ(la.at(s).noop, lb.at(s).noop)
+                    ASSERT_EQ(la.at(s).noop(), lb.at(s).noop())
                         << "slot " << s << " replicas " << a << "," << b;
-                    if (!la.at(s).noop) {
-                        ASSERT_EQ(la.at(s).oc.digest, lb.at(s).oc.digest)
+                    if (!la.at(s).noop()) {
+                        ASSERT_EQ(la.at(s).oc().digest, lb.at(s).oc().digest)
                             << "slot " << s << " replicas " << a << "," << b;
                     }
                     ASSERT_EQ(la.hash_at(s), lb.hash_at(s)) << "slot " << s;

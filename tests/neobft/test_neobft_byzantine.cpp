@@ -48,7 +48,7 @@ TEST(NeoByzantine, ForgedGapDropCannotCommitNoOp) {
 
     for (auto& rep : d.replicas) {
         ASSERT_GE(rep->log().size(), 3u);
-        EXPECT_FALSE(rep->log().at(2).noop);
+        EXPECT_FALSE(rep->log().at(2).noop());
     }
     d.expect_prefix_consistent();
 }
@@ -108,7 +108,7 @@ TEST(NeoByzantine, ReplayedRequestsExecuteOnce) {
     std::uint64_t executed_before = d.replicas[0]->stats().requests_executed;
 
     // Capture the committed request from the log and replay it through aom.
-    const auto& oc = d.replicas[0]->log().at(1).oc;
+    const auto& oc = d.replicas[0]->log().at(1).oc();
     aom::DataPacket replay;
     replay.group = NeoDeployment::kGroup;
     replay.payload = oc.payload;
@@ -146,7 +146,7 @@ TEST(NeoByzantine, WrongViewGapMessagesIgnored) {
     d.net.send(4, 2, decision.serialize());
 
     d.sim.run_until(d.sim.now() + sim::kSecond);
-    EXPECT_FALSE(d.replicas[1]->log().at(1).noop);
+    EXPECT_FALSE(d.replicas[1]->log().at(1).noop());
     EXPECT_EQ(d.replicas[1]->view(), (ViewId{1, 0}));
 }
 

@@ -47,7 +47,7 @@ TEST(NeoGaps, NonLeaderRecoversViaQuery) {
     EXPECT_EQ(done, 2);
     // Replica 2 recovered both entries.
     EXPECT_EQ(d.replicas[1]->log().size(), 2u);
-    EXPECT_FALSE(d.replicas[1]->log().at(1).noop);
+    EXPECT_FALSE(d.replicas[1]->log().at(1).noop());
     EXPECT_GE(d.replicas[1]->stats().queries_sent, 1u);
     EXPECT_EQ(d.replicas[1]->stats().gap_noops_committed, 0u);
     d.expect_prefix_consistent();
@@ -76,7 +76,7 @@ TEST(NeoGaps, AllReplicasMissCommitsNoOp) {
     EXPECT_EQ(done, 2);
     for (auto& rep : d.replicas) {
         ASSERT_GE(rep->log().size(), 2u);
-        EXPECT_TRUE(rep->log().at(1).noop) << "replica " << rep->id();
+        EXPECT_TRUE(rep->log().at(1).noop()) << "replica " << rep->id();
         EXPECT_GE(rep->stats().gap_noops_committed, 1u);
     }
     d.expect_prefix_consistent();
@@ -101,7 +101,7 @@ TEST(NeoGaps, LeaderMissesButFollowerHasIt) {
     EXPECT_EQ(done, 2);
     for (auto& rep : d.replicas) {
         ASSERT_EQ(rep->log().size(), 2u);
-        EXPECT_FALSE(rep->log().at(1).noop);
+        EXPECT_FALSE(rep->log().at(1).noop());
     }
     EXPECT_GE(d.replicas[0]->stats().gap_agreements_started, 1u);
     d.expect_prefix_consistent();
@@ -179,7 +179,7 @@ TEST(NeoGaps, RollbackOnNoOpCommit) {
     // The slot became a no-op everywhere; replica 2 rolled back.
     for (auto& rep : d.replicas) {
         ASSERT_GE(rep->log().size(), 1u);
-        EXPECT_TRUE(rep->log().at(1).noop) << "replica " << rep->id();
+        EXPECT_TRUE(rep->log().at(1).noop()) << "replica " << rep->id();
     }
     EXPECT_GE(d.replicas[1]->stats().rollbacks, 1u);
     auto& echo = dynamic_cast<app::EchoApp&>(d.replicas[1]->app());
@@ -204,8 +204,8 @@ TEST(NeoGaps, GapCertificateInLogIsValid) {
     d.sim.run_until(2 * sim::kSecond);
 
     for (auto& rep : d.replicas) {
-        ASSERT_TRUE(rep->log().at(1).noop);
-        const GapCertificate& cert = rep->log().at(1).gap_cert;
+        ASSERT_TRUE(rep->log().at(1).noop());
+        const GapCertificate& cert = rep->log().at(1).gap_cert();
         EXPECT_FALSE(cert.recv);
         EXPECT_EQ(cert.slot, 1u);
         EXPECT_TRUE(verify_gap_certificate(cert, d.cfg, rep->node_crypto()));
@@ -253,7 +253,7 @@ TEST(NeoGapsRecovery, LostGapFindIsRetransmitted) {
     EXPECT_GE(finds_dropped, 3);
     for (auto& rep : d.replicas) {
         ASSERT_GE(rep->log().size(), 1u);
-        EXPECT_TRUE(rep->log().at(1).noop);
+        EXPECT_TRUE(rep->log().at(1).noop());
     }
     d.expect_prefix_consistent();
 }

@@ -9,16 +9,19 @@ namespace neo::neobft {
 namespace {
 
 LogEntry request_entry(std::string_view payload) {
+    aom::OrderingCert oc;
+    oc.payload = to_bytes(payload);
+    oc.digest = crypto::sha256(oc.payload);
     LogEntry e;
-    e.noop = false;
-    e.oc.payload = to_bytes(payload);
-    e.oc.digest = crypto::sha256(e.oc.payload);
+    e.cert = std::move(oc);
     return e;
 }
 
-LogEntry noop_entry() {
+LogEntry noop_entry(std::uint64_t slot = 0) {
+    GapCertificate cert;
+    cert.slot = slot;
     LogEntry e;
-    e.noop = true;
+    e.cert = cert;
     return e;
 }
 
@@ -65,7 +68,7 @@ TEST(NeoLog, ReplaceRechainsSuffix) {
     log.append(request_entry("c"));
     Digest32 old3 = log.hash_at(3);
     log.replace(2, noop_entry());
-    EXPECT_TRUE(log.at(2).noop);
+    EXPECT_TRUE(log.at(2).noop());
     EXPECT_NE(log.hash_at(3), old3);
     // Slot 1 untouched.
     Log fresh;
@@ -150,11 +153,9 @@ TEST(NeoLog, TruncateRespectsTheGcBase) {
 TEST(NeoLog, WireEntryRoundTrips) {
     Log log;
     log.append(request_entry("payload"));
-    LogEntry ne = noop_entry();
-    ne.gap_cert.slot = 2;
-    log.append(std::move(ne));
+    log.append(noop_entry(2));
     EXPECT_FALSE(log.wire_entry(1).noop);
-    EXPECT_EQ(log.wire_entry(1).oc.digest, log.at(1).oc.digest);
+    EXPECT_EQ(log.wire_entry(1).oc.digest, log.at(1).oc().digest);
     EXPECT_TRUE(log.wire_entry(2).noop);
     EXPECT_EQ(log.wire_entry(2).gap_cert.slot, 2u);
 }

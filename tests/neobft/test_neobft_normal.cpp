@@ -70,7 +70,7 @@ TEST(NeoNormal, AllReplicasExecuteSameOrder) {
     for (auto& rep : d.replicas) {
         ASSERT_EQ(rep->log().size(), ref.size());
         for (std::uint64_t s = 1; s <= ref.size(); ++s) {
-            EXPECT_EQ(rep->log().at(s).oc.digest, ref.at(s).oc.digest) << s;
+            EXPECT_EQ(rep->log().at(s).oc().digest, ref.at(s).oc().digest) << s;
         }
     }
 }

@@ -62,8 +62,8 @@ TEST(NeoViewChange, CommittedEntriesSurviveEpochChange) {
     ASSERT_EQ(results[0].size(), 10u);
     std::vector<Digest32> digests;
     for (std::uint64_t s = 1; s <= d.replicas[0]->log().size(); ++s) {
-        digests.push_back(d.replicas[0]->log().at(s).noop ? Digest32{}
-                                                          : d.replicas[0]->log().at(s).oc.digest);
+        const LogEntry& e = d.replicas[0]->log().at(s);
+        digests.push_back(e.noop() ? Digest32{} : e.oc().digest);
     }
 
     d.switches[0]->set_stall(true);
@@ -74,7 +74,7 @@ TEST(NeoViewChange, CommittedEntriesSurviveEpochChange) {
         ASSERT_GE(rep->log().size(), digests.size());
         for (std::size_t i = 0; i < digests.size(); ++i) {
             if (digests[i] != Digest32{}) {
-                EXPECT_EQ(rep->log().at(i + 1).oc.digest, digests[i]) << "slot " << i + 1;
+                EXPECT_EQ(rep->log().at(i + 1).oc().digest, digests[i]) << "slot " << i + 1;
             }
         }
     }
@@ -92,8 +92,8 @@ TEST(NeoViewChange, EpochCertificatesRecorded) {
     // slot 3 on every replica.
     for (auto& rep : d.replicas) {
         ASSERT_GE(rep->log().size(), 3u);
-        EXPECT_EQ(rep->log().at(3).oc.epoch, 2u);
-        EXPECT_EQ(rep->log().at(3).oc.seq, 1u);
+        EXPECT_EQ(rep->log().at(3).oc().epoch, 2u);
+        EXPECT_EQ(rep->log().at(3).oc().seq, 1u);
     }
 }
 
