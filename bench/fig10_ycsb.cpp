@@ -21,24 +21,14 @@ app::YcsbConfig ycsb_config(bool quick) {
     return cfg;
 }
 
-// Per-replica state machine for NeoBFT (shared preloaded template would
-// break undo independence, so each replica loads its own copy).
-std::function<std::unique_ptr<app::StateMachine>()> neo_app_factory(
+// Per-replica state machine, one preloaded copy per replica (a shared
+// template would break undo independence), for every protocol.
+std::function<std::unique_ptr<app::StateMachine>()> kv_app_factory(
     const std::shared_ptr<app::YcsbWorkload>& workload) {
     return [workload] {
         auto sm = std::make_unique<app::KvStateMachine>();
         workload->load_into(*sm);
         return sm;
-    };
-}
-
-// Baseline replicas execute through a plain closure over a KvStateMachine.
-std::function<std::function<Bytes(BytesView)>()> baseline_app_factory(
-    const std::shared_ptr<app::YcsbWorkload>& workload) {
-    return [workload]() -> std::function<Bytes(BytesView)> {
-        auto sm = std::make_shared<app::KvStateMachine>();
-        workload->load_into(*sm);
-        return [sm](BytesView op) { return sm->execute(op); };
     };
 }
 
@@ -70,79 +60,64 @@ struct Protocol {
     bool trace_candidate = false;
 };
 
+/// Row parameters: every replica runs the preloaded KV store.
+template <typename P>
+P kv_params(const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
+    P p;
+    p.n_clients = kClients;
+    p.seed = ctx.seed();
+    p.sim_threads = ctx.sim_threads();
+    p.app_factory = kv_app_factory(workload);
+    return p;
+}
+
 std::vector<Protocol> protocols() {
+    using Workload = std::shared_ptr<app::YcsbWorkload>;
     auto neo = [](NeoVariant variant) {
-        return [variant](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-            NeoParams p;
-            p.n_clients = kClients;
-            p.seed = ctx.seed();
-            p.sim_threads = ctx.sim_threads();
+        return [variant](const Workload& workload, const RunCtx& ctx) {
+            auto p = kv_params<NeoParams>(workload, ctx);
             p.variant = variant;
-            p.app_factory = neo_app_factory(workload);
             return make_neobft(p);
         };
     };
     return {
         {"Unreplicated", "unreplicated",
-         [](const std::shared_ptr<app::YcsbWorkload>&, const RunCtx& ctx) {
+         [](const Workload&, const RunCtx& ctx) {
              CommonParams p;
              p.n_clients = kClients;
              p.seed = ctx.seed();
              p.sim_threads = ctx.sim_threads();
-             // The unreplicated server echoes; attaching KV semantics via
-             // the baseline hook is not supported there -> report echo
-             // service rate as the upper bound (documented in EXPERIMENTS.md).
+             // The unreplicated server echoes; it runs no state machine, so
+             // the row is the echo service rate as an upper bound
+             // (documented in EXPERIMENTS.md).
              return make_unreplicated(p);
          }},
         {"Neo-HM", "neo_hm", neo(NeoVariant::kHm), true},
         {"Neo-PK", "neo_pk", neo(NeoVariant::kPk)},
         {"Neo-BN", "neo_bn", neo(NeoVariant::kBn)},
         {"Zyzzyva", "zyzzyva",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             ZyzzyvaParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.baseline_app_factory = baseline_app_factory(workload);
-             return make_zyzzyva(p);
+         [](const Workload& workload, const RunCtx& ctx) {
+             return make_zyzzyva(kv_params<ZyzzyvaParams>(workload, ctx));
          }},
         {"Zyzzyva-F", "zyzzyva_f",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             ZyzzyvaParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
+         [](const Workload& workload, const RunCtx& ctx) {
+             auto p = kv_params<ZyzzyvaParams>(workload, ctx);
              p.faulty_replica = true;
-             p.baseline_app_factory = baseline_app_factory(workload);
              return make_zyzzyva(p);
          }},
         {"PBFT", "pbft",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.baseline_app_factory = baseline_app_factory(workload);
-             return make_pbft(p);
+         [](const Workload& workload, const RunCtx& ctx) {
+             return make_pbft(kv_params<CommonParams>(workload, ctx));
          }},
         {"HotStuff", "hotstuff",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
+         [](const Workload& workload, const RunCtx& ctx) {
+             auto p = kv_params<CommonParams>(workload, ctx);
              p.batch_max = 32;
-             p.baseline_app_factory = baseline_app_factory(workload);
              return make_hotstuff(p);
          }},
         {"MinBFT", "minbft",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.baseline_app_factory = baseline_app_factory(workload);
-             return make_minbft(p);
+         [](const Workload& workload, const RunCtx& ctx) {
+             return make_minbft(kv_params<CommonParams>(workload, ctx));
          }},
     };
 }

@@ -1,15 +1,18 @@
 // Byzantine scenario matrix: every canonical fault scenario from
 // src/scenario's library, run over every protocol in the evaluation
-// (NeoBFT-HM, NeoBFT-PK, PBFT, Zyzzyva, HotStuff, MinBFT), with the
-// obs::Auditor checking safety (expected violations MUST fire, anything
-// else fails) and the liveness floor (every client commits) on each run.
+// (NeoBFT-HM, NeoBFT-PK, their 2-shard deployments, PBFT, Zyzzyva,
+// HotStuff, MinBFT), with the obs::Auditor checking safety (expected
+// violations MUST fire, anything else fails) and the liveness floor (every
+// client commits) on each run.
 //
-// NeoBFT rows run with the Byzantine sequencer switch installed and
-// checkpointing enabled, so the sequencer-fault scenarios (skipped
-// seqnums, unsigned packets, wire equivocation) and the full
-// crash-recover-state-transfer lifecycle are exercised; on the
-// sequencer-less baselines those faults are no-ops and the scenario
-// degrades to a clean liveness run (matrix uniformity).
+// NeoBFT rows run with checkpointing enabled over Byzantine-capable
+// sequencer switches, so the sequencer-fault scenarios (skipped seqnums,
+// unsigned packets, wire equivocation) and the full
+// crash-recover-state-transfer lifecycle are exercised. The 2-shard rows
+// (2 groups x 4 replicas, 20%-cross-shard YCSB transactions) aim every
+// fault at the last shard, so each group stays within f. On the
+// sequencer-less baselines the sequencer faults are no-ops and the
+// scenario degrades to a clean liveness run (matrix uniformity).
 //
 // Modes:
 //   default / --quick   fixed matrix; exit 1 unless EVERY cell passes
@@ -31,42 +34,6 @@ using namespace neo;
 using namespace neo::bench;
 
 namespace {
-
-const std::vector<std::string> kProtocols = {"neo_hm", "neo_pk", "pbft",
-                                             "zyzzyva", "hotstuff", "minbft"};
-
-std::unique_ptr<Deployment> make_proto(const std::string& proto, std::uint64_t seed,
-                                       unsigned sim_threads, crypto::CryptoMode mode) {
-    if (proto == "neo_hm" || proto == "neo_pk") {
-        NeoParams p;
-        p.variant = proto == "neo_pk" ? NeoVariant::kPk : NeoVariant::kHm;
-        p.n_clients = 4;
-        p.seed = seed;
-        p.sim_threads = sim_threads;
-        p.crypto_mode = mode;
-        p.byz_sequencer = true;
-        p.checkpoint_interval = 128;  // must be a multiple of sync_interval
-        return make_neobft(p);
-    }
-    if (proto == "zyzzyva") {
-        ZyzzyvaParams p;
-        p.n_clients = 4;
-        p.seed = seed;
-        p.sim_threads = sim_threads;
-        p.crypto_mode = mode;
-        return make_zyzzyva(p);
-    }
-    CommonParams p;
-    p.n_clients = 4;
-    p.seed = seed;
-    p.sim_threads = sim_threads;
-    p.crypto_mode = mode;
-    if (proto == "pbft") return make_pbft(p);
-    if (proto == "hotstuff") return make_hotstuff(p);
-    if (proto == "minbft") return make_minbft(p);
-    std::fprintf(stderr, "unknown protocol %s\n", proto.c_str());
-    std::abort();
-}
 
 /// Scenario names are protocol-independent; the replica-parameterised
 /// schedule is rebuilt per deployment at run time.
@@ -119,7 +86,6 @@ int main(int argc, char** argv) {
 
     BenchMain bm(argc, argv, "fig_scenarios");
     const sim::Time horizon = bm.quick() ? 20 * sim::kMillisecond : 60 * sim::kMillisecond;
-    const OpGen ops = echo_ops(64);
 
     if (fuzz_n > 0) {
         // Fuzzer mode: randomised fault compositions over both NeoBFT
@@ -130,11 +96,12 @@ int main(int argc, char** argv) {
         for (int i = 0; i < fuzz_n; ++i) {
             std::uint64_t fuzz_seed = bm.base_seed() + static_cast<std::uint64_t>(i);
             for (const std::string& proto : {std::string("neo_hm"), std::string("neo_pk")}) {
-                auto d = make_proto(proto, fuzz_seed, bm.opt().sim_threads,
-                                    bm.opt().real_crypto ? crypto::CryptoMode::kReal
-                                                         : crypto::CryptoMode::kModeled);
-                scenario::Scenario sc = scenario::fuzz(fuzz_seed, d->replica_ids(), horizon);
-                ScenarioOutcome out = run_scenario(*d, sc, ops, horizon);
+                ScenarioRow row = make_scenario_row(
+                    proto, fuzz_seed, bm.opt().sim_threads,
+                    bm.opt().real_crypto ? crypto::CryptoMode::kReal
+                                         : crypto::CryptoMode::kModeled);
+                scenario::Scenario sc = scenario::fuzz(fuzz_seed, row.targets, horizon);
+                ScenarioOutcome out = run_scenario(*row.d, sc, row.ops, horizon);
                 std::printf("fuzz seed=%" PRIu64 " proto=%s %s\n", fuzz_seed, proto.c_str(),
                             out.to_string().c_str());
                 if (!out.ok) ++failures;
@@ -150,20 +117,21 @@ int main(int argc, char** argv) {
 
     const std::vector<std::string> names = scenario_names(bm.quick());
     std::printf("=== Scenario matrix: %zu scenarios x %zu protocols, auditor-checked ===\n\n",
-                names.size(), kProtocols.size());
+                names.size(), scenario_protocols().size());
 
     std::vector<BenchPointSpec> points;
-    for (const std::string& proto : kProtocols) {
+    for (const std::string& proto : scenario_protocols()) {
         for (const std::string& name : names) {
             if (!only.empty() && (proto + "." + name).find(only) == std::string::npos) continue;
             points.push_back({
                 proto + "." + name,
                 {},
-                [proto, name, horizon, &ops](RunCtx& ctx) {
-                    auto d = make_proto(proto, ctx.seed(), ctx.sim_threads(), ctx.crypto_mode());
-                    auto obs = ctx.attach(*d);
-                    scenario::Scenario sc = scenario_by_name(name, d->replica_ids(), horizon);
-                    ScenarioOutcome out = run_scenario(*d, sc, ops, horizon);
+                [proto, name, horizon](RunCtx& ctx) {
+                    ScenarioRow row = make_scenario_row(proto, ctx.seed(), ctx.sim_threads(),
+                                                        ctx.crypto_mode());
+                    auto obs = ctx.attach(*row.d);
+                    scenario::Scenario sc = scenario_by_name(name, row.targets, horizon);
+                    ScenarioOutcome out = run_scenario(*row.d, sc, row.ops, horizon);
                     if (!out.ok) {
                         std::fprintf(stderr, "fig_scenarios: %s %s\n", proto.c_str(),
                                      out.to_string().c_str());
@@ -189,7 +157,7 @@ int main(int argc, char** argv) {
         return all_ok ? 0 : 1;
     }
     std::size_t i = 0;
-    for (const std::string& proto : kProtocols) {
+    for (const std::string& proto : scenario_protocols()) {
         std::printf("--- %s ---\n", proto.c_str());
         TablePrinter table({"scenario", "ok", "completed", "min_client", "violations"});
         for (const std::string& name : names) {

@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include "aom/config_service.hpp"
+#include "apps/kvstore.hpp"
 #include "baselines/hotstuff.hpp"
 #include "baselines/minbft.hpp"
 #include "baselines/pbft.hpp"
@@ -18,6 +20,8 @@
 #include "harness/runner.hpp"
 #include "neobft/client.hpp"
 #include "neobft/replica.hpp"
+#include "neobft/shard_client.hpp"
+#include "neobft/shard_router.hpp"
 #include "obs/critical_path.hpp"
 #include "scenario/byz_sequencer.hpp"
 
@@ -306,17 +310,30 @@ void ObsSession::flush() {
     }
 }
 
-// ----------------------------------------------------------- unreplicated
+// ------------------------------------------------------------ deployments
+
+Deployment::Deployment(const CommonParams& p)
+    : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1) {
+    if (p.placement) sim_.set_placement(p.placement);
+    net_.set_default_link(sim::datacenter_link());
+    net_.set_global_drop_rate(p.drop_rate);
+    auditor_.configure(sim_.partitions() + 1);
+}
 
 namespace {
 
+/// Infrastructure ids (config service 900, switches 910+, clients 1000+)
+/// sit above replicas 1..n. From 900 replicas on they move up by the first
+/// multiple of 1000 at or above n, so the ranges never collide; smaller
+/// shapes keep their ids.
+NodeId infra_shift(int n_replicas) {
+    if (n_replicas < static_cast<int>(kConfigId)) return 0;
+    return static_cast<NodeId>((n_replicas + 999) / 1000 * 1000);
+}
+
 class UnreplicatedDeployment : public Deployment {
   public:
-    explicit UnreplicatedDeployment(const CommonParams& p)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1) {
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
-        auditor_.configure(sim_.partitions() + 1);
+    explicit UnreplicatedDeployment(const CommonParams& p) : Deployment(p) {
         server_ = std::make_unique<baselines::UnreplicatedServer>(root_.provision(kServerId));
         server_->set_auditor(&auditor_);
         net_.add_node(*server_, kServerId);
@@ -328,8 +345,6 @@ class UnreplicatedDeployment : public Deployment {
         }
     }
 
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
     int n_clients() const override { return static_cast<int>(clients_.size()); }
     void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
         clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
@@ -337,7 +352,7 @@ class UnreplicatedDeployment : public Deployment {
 
     void register_obs(obs::Registry& reg, const std::string& prefix,
                       obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
+        Deployment::register_obs(reg, prefix, trace);
         server_->register_rx_metrics(reg, prefix + ".server", &baselines::kind_name);
         if (trace) {
             trace->set_node_name(kServerId, "server");
@@ -348,85 +363,18 @@ class UnreplicatedDeployment : public Deployment {
     }
 
   private:
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
     std::unique_ptr<baselines::UnreplicatedServer> server_;
     std::vector<std::unique_ptr<baselines::UnreplicatedClient>> clients_;
 };
 
-// ----------------------------------------------------------------- NeoBFT
-
-class NeoDeployment : public Deployment {
+/// Replica-group plumbing NeoBFT and the baselines share: clients invoke
+/// directly, replica hooks find their target by id, and every replica and
+/// client publishes metrics and a named trace track.
+template <typename ReplicaT, typename ClientT>
+class ReplicatedDeployment : public Deployment {
   public:
-    explicit NeoDeployment(const NeoParams& p)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1), keys_(p.seed + 2) {
-        if (p.placement) sim_.set_placement(p.placement);
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
+    using Deployment::Deployment;
 
-        neobft::Config cfg;
-        cfg.f = (p.n_replicas - 1) / 3;
-        cfg.group = kGroup;
-        cfg.config_service = kConfigId;
-        cfg.sync_interval = p.sync_interval;
-        cfg.checkpoint_interval = p.checkpoint_interval;
-        for (int i = 0; i < p.n_replicas; ++i) {
-            cfg.replicas.push_back(kReplicaBase + static_cast<NodeId>(i));
-        }
-
-        aom::GroupConfig group;
-        group.group = kGroup;
-        group.variant =
-            p.variant == NeoVariant::kPk ? aom::AuthVariant::kPublicKey : aom::AuthVariant::kHmacVector;
-        group.trust = p.variant == NeoVariant::kBn ? aom::NetworkTrust::kByzantine
-                                                   : aom::NetworkTrust::kCrashOnly;
-        group.f = cfg.f;
-        group.receivers = cfg.replicas;
-
-        aom::SequencerConfig seq_cfg =
-            p.software_sequencer ? aom::SequencerConfig::software_profile() : aom::SequencerConfig{};
-        for (int s = 0; s < 2; ++s) {
-            NodeId sid = kSwitchBase + static_cast<NodeId>(s);
-            if (p.byz_sequencer) {
-                auto sw = std::make_unique<scenario::ByzSequencer>(seq_cfg, root_.provision(sid),
-                                                                   &keys_);
-                byz_switches_.push_back(sw.get());
-                switches_.push_back(std::move(sw));
-            } else {
-                switches_.push_back(
-                    std::make_unique<aom::SequencerSwitch>(seq_cfg, root_.provision(sid), &keys_));
-            }
-            net_.add_node(*switches_.back(), sid);
-        }
-        std::vector<aom::SequencerSwitch*> pool;
-        for (auto& sw : switches_) pool.push_back(sw.get());
-        config_ = std::make_unique<aom::ConfigService>(&keys_, pool);
-        net_.add_node(*config_, kConfigId);
-        config_->register_group(group);
-
-        auto app_factory = p.app_factory
-                               ? p.app_factory
-                               : [] { return std::make_unique<app::EchoApp>(); };
-        auditor_.configure(sim_.partitions() + 1);
-        for (NodeId rid : cfg.replicas) {
-            auto rep = std::make_unique<neobft::Replica>(cfg, root_.provision(rid), &keys_,
-                                                         app_factory(), p.receiver);
-            rep->set_auditor(&auditor_);
-            net_.add_node(*rep, rid);
-            rep->bootstrap(group, config_->current_sequencer(kGroup));
-            replicas_.push_back(std::move(rep));
-        }
-        for (int i = 0; i < p.n_clients; ++i) {
-            NodeId cid = kClientBase + static_cast<NodeId>(i);
-            clients_.push_back(
-                std::make_unique<neobft::Client>(cfg, root_.provision(cid), config_.get()));
-            net_.add_node(*clients_.back(), cid);
-        }
-    }
-
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
     int n_clients() const override { return static_cast<int>(clients_.size()); }
     void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
         clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
@@ -438,54 +386,219 @@ class NeoDeployment : public Deployment {
         return out;
     }
     crypto::CostMeter* replica_meter(NodeId id) override {
+        ReplicaT* r = replica(id);
+        return r ? &r->node_crypto().meter() : nullptr;
+    }
+    bool set_replica_equivocate(NodeId id, bool on) override {
+        ReplicaT* r = replica(id);
+        if (r) r->set_equivocate(on);
+        return r != nullptr;
+    }
+
+    void register_obs(obs::Registry& reg, const std::string& prefix,
+                      obs::TraceSink* trace) override {
+        Deployment::register_obs(reg, prefix, trace);
         for (auto& r : replicas_) {
-            if (r->id() == id) return &r->node_crypto().meter();
+            r->register_metrics(reg, prefix + ".replica." + std::to_string(r->id()));
+        }
+        if (trace) {
+            for (const auto& r : replicas_) {
+                trace->set_node_name(r->id(), "replica " + std::to_string(r->id()));
+            }
+            for (const auto& c : clients_) {
+                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
+            }
+        }
+    }
+
+  protected:
+    ReplicaT* replica(NodeId id) {
+        for (auto& r : replicas_) {
+            if (r->id() == id) return r.get();
         }
         return nullptr;
     }
 
+    std::vector<std::unique_ptr<ReplicaT>> replicas_;
+    std::vector<std::unique_ptr<ClientT>> clients_;
+};
+
+// ----------------------------------------------------------------- NeoBFT
+
+/// Replica ids: group s, index i -> 1 + 8s + i (one group: 1..n).
+constexpr NodeId kGroupReplicaStride = 8;
+/// Sharded client ids: logical client c, group s -> 1000 + 32c + s.
+constexpr NodeId kShardClientStride = 32;
+
+/// NeoBFT over N >= 1 aom groups. Without `shard` it is the paper's single
+/// group with plain neobft::Clients (make_neobft). With it, shard->n_shards
+/// groups each own a contiguous slice of the key-hash space, and every
+/// logical client is a neobft::ShardClient 2PC coordinator over one child
+/// client per group (make_sharded_neobft). Each group has a home switch,
+/// plus one spare the config service can fail any group over to.
+class NeoDeployment : public ReplicatedDeployment<neobft::Replica, neobft::Client> {
+  public:
+    NeoDeployment(const NeoParams& p, const ShardParams* shard)
+        : ReplicatedDeployment(p), keys_(p.seed + 2) {
+        const std::size_t n_groups = shard ? static_cast<std::size_t>(shard->n_shards) : 1;
+        const NodeId shift = infra_shift(p.n_replicas);
+        if (shard) {
+            NEO_ASSERT(n_groups >= 1 && n_groups <= kShardClientStride);
+            NEO_ASSERT(p.n_replicas >= 1 &&
+                       p.n_replicas <= static_cast<int>(kGroupReplicaStride));
+            // Group-affine placement (installed before the first add_node):
+            // a shard's replicas and its home switch share a partition, and
+            // every child client of one logical client shares one — the
+            // ShardClient concurrency contract (its phase callbacks mutate
+            // shared coordinator state without locks).
+            if (!p.placement) {
+                sim_.set_placement([](NodeId id, unsigned nparts) -> unsigned {
+                    if (id >= kClientBase) {
+                        return static_cast<unsigned>((id - kClientBase) / kShardClientStride) %
+                               nparts;
+                    }
+                    if (id >= kSwitchBase) return static_cast<unsigned>(id - kSwitchBase) % nparts;
+                    if (id == kConfigId) return 0;
+                    return static_cast<unsigned>((id - kReplicaBase) / kGroupReplicaStride) %
+                           nparts;
+                });
+            }
+        }
+
+        // One aom group per shard; sharded groups tile the 64-bit key-hash
+        // space evenly.
+        std::vector<aom::GroupConfig> groups(n_groups);
+        for (std::size_t s = 0; s < n_groups; ++s) {
+            aom::GroupConfig& g = groups[s];
+            g.group = kGroup + static_cast<GroupId>(s);
+            g.variant = p.variant == NeoVariant::kPk ? aom::AuthVariant::kPublicKey
+                                                     : aom::AuthVariant::kHmacVector;
+            g.trust = p.variant == NeoVariant::kBn ? aom::NetworkTrust::kByzantine
+                                                   : aom::NetworkTrust::kCrashOnly;
+            g.f = (p.n_replicas - 1) / 3;
+            for (int i = 0; i < p.n_replicas; ++i) {
+                g.receivers.push_back(kReplicaBase + kGroupReplicaStride * static_cast<NodeId>(s) +
+                                      static_cast<NodeId>(i));
+            }
+        }
+        if (shard) {
+            groups = neobft::ShardRouter::assign_ranges(std::move(groups));
+            router_ = std::make_unique<neobft::ShardRouter>(groups);
+        }
+
+        const aom::SequencerConfig seq_cfg =
+            p.software_sequencer ? aom::SequencerConfig::software_profile() : aom::SequencerConfig{};
+        for (std::size_t s = 0; s <= n_groups; ++s) {
+            NodeId sid = kSwitchBase + shift + static_cast<NodeId>(s);
+            switches_.push_back(
+                std::make_unique<scenario::ByzSequencer>(seq_cfg, root_.provision(sid), &keys_));
+            net_.add_node(*switches_.back(), sid);
+        }
+        std::vector<aom::SequencerSwitch*> pool;
+        for (auto& sw : switches_) pool.push_back(sw.get());
+        config_ = std::make_unique<aom::ConfigService>(&keys_, pool);
+        net_.add_node(*config_, kConfigId + shift);
+        for (std::size_t s = 0; s < n_groups; ++s) config_->register_group(groups[s], s);
+
+        // Each shard preloads only the dataset records its key range owns.
+        std::optional<app::YcsbWorkload> dataset;
+        std::vector<std::vector<std::uint64_t>> owned(n_groups);
+        if (shard && shard->dataset.record_count > 0) {
+            dataset.emplace(shard->dataset, p.seed);
+            for (std::uint64_t k = 0; k < shard->dataset.record_count; ++k) {
+                owned[router_->shard_index(dataset->key_of(k))].push_back(k);
+            }
+        }
+        auto make_app = [&](std::size_t s) -> std::unique_ptr<app::StateMachine> {
+            if (!shard) return p.app_factory ? p.app_factory() : std::make_unique<app::EchoApp>();
+            auto kv = std::make_unique<app::KvStateMachine>();
+            if (static_cast<int>(s) == shard->byzantine_prepare_shard) {
+                kv->set_byzantine_prepare_equivocation(true);
+            }
+            kv->set_wait_die(shard->wait_die);
+            kv->set_presumed_abort_after(shard->presumed_abort_after);
+            for (std::uint64_t k : owned[s]) kv->store().put(dataset->key_of(k), dataset->value_of(k));
+            return kv;
+        };
+
+        std::vector<neobft::Config> cfgs;
+        for (std::size_t s = 0; s < n_groups; ++s) {
+            const aom::GroupConfig& g = groups[s];
+            neobft::Config cfg;
+            cfg.f = g.f;
+            cfg.group = g.group;
+            cfg.config_service = kConfigId + shift;
+            cfg.sync_interval = p.sync_interval;
+            cfg.checkpoint_interval = p.checkpoint_interval;
+            cfg.replicas = g.receivers;
+            for (NodeId rid : cfg.replicas) {
+                auto rep = std::make_unique<neobft::Replica>(cfg, root_.provision(rid), &keys_,
+                                                             make_app(s), p.receiver);
+                rep->set_auditor(&auditor_);
+                net_.add_node(*rep, rid);
+                rep->bootstrap(g, config_->current_sequencer(g.group));
+                replicas_.push_back(std::move(rep));
+            }
+            cfgs.push_back(std::move(cfg));
+        }
+
+        const NodeId client_stride = shard ? kShardClientStride : 1;
+        for (int c = 0; c < p.n_clients; ++c) {
+            std::vector<neobft::Client*> children;
+            for (std::size_t s = 0; s < n_groups; ++s) {
+                NodeId cid = kClientBase + shift + client_stride * static_cast<NodeId>(c) +
+                             static_cast<NodeId>(s);
+                clients_.push_back(
+                    std::make_unique<neobft::Client>(cfgs[s], root_.provision(cid), config_.get()));
+                net_.add_node(*clients_.back(), cid);
+                children.push_back(clients_.back().get());
+            }
+            if (shard) {
+                shard_clients_.push_back(std::make_unique<neobft::ShardClient>(
+                    router_.get(), std::move(children), static_cast<std::uint32_t>(c) + 1));
+            }
+        }
+    }
+
+    int n_clients() const override {
+        return router_ ? static_cast<int>(shard_clients_.size())
+                       : ReplicatedDeployment::n_clients();
+    }
+    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
+        if (!router_) return ReplicatedDeployment::invoke(client, std::move(op), std::move(done));
+        shard_clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
+    }
+    bool abandon_coordinator(int client) override {
+        if (!router_) return false;
+        shard_clients_[static_cast<std::size_t>(client)]->abandon();
+        return true;
+    }
+
+    /// Stalls the first group's home switch; the config service fails the
+    /// group over to the spare.
     void inject_sequencer_failure() override { switches_[0]->set_stall(true); }
     std::uint64_t failovers() const override { return config_->failovers_performed(); }
 
     bool crash_replica(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->crash();
-                return true;
-            }
-        }
-        return false;
+        neobft::Replica* r = replica(id);
+        if (r) r->crash();
+        return r != nullptr;
     }
     bool recover_replica(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->recover();
-                return true;
-            }
-        }
-        return false;
-    }
-    bool set_replica_equivocate(NodeId id, bool on) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->set_equivocate(on);
-                return true;
-            }
-        }
-        return false;
+        neobft::Replica* r = replica(id);
+        if (r) r->recover();
+        return r != nullptr;
     }
     bool sequencer_fault(const scenario::Adapter::SeqFault& f) override {
         using scenario::FaultKind;
-        if (f.kind == FaultKind::kSeqStall) {
-            // Stall is supported by the stock switch too.
-            for (auto& sw : switches_) sw->set_stall(f.on);
-            return true;
-        }
-        if (byz_switches_.empty()) return false;
         // Apply to every switch so the fault survives failover to the
-        // standby (the adversary compromised the sequencing layer, not one
+        // spare (the adversary compromised the sequencing layer, not one
         // box).
-        for (scenario::ByzSequencer* sw : byz_switches_) {
+        for (auto& sw : switches_) {
+            if (f.kind == FaultKind::kSeqStall) {
+                sw->set_stall(f.on);
+                continue;
+            }
             scenario::ByzSequencer::Faults faults = sw->faults();
             std::uint32_t mod = f.on ? f.mod : 0;
             switch (f.kind) {
@@ -500,210 +613,86 @@ class NeoDeployment : public Deployment {
         }
         return true;
     }
-    std::uint64_t client_completed(int c) const override {
-        return clients_[static_cast<std::size_t>(c)]->completed();
+
+    TxnTotals txn_totals() const override {
+        TxnTotals t;
+        for (const auto& sc : shard_clients_) {
+            const neobft::ShardClient::Stats& s = sc->stats();
+            t.txns_started += s.txns_started;
+            t.committed_txns += s.committed_txns;
+            t.aborted_txns += s.aborted_txns;
+            t.committed_ops += s.committed_ops;
+            t.cross_shard_txns += s.cross_shard_txns;
+        }
+        return t;
     }
 
     void register_obs(obs::Registry& reg, const std::string& prefix,
                       obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
-        for (auto& r : replicas_) {
-            r->register_metrics(reg, prefix + ".replica." + std::to_string(r->id()));
-        }
+        ReplicatedDeployment::register_obs(reg, prefix, trace);
         for (std::size_t s = 0; s < switches_.size(); ++s) {
             switches_[s]->register_metrics(reg, prefix + ".sequencer." + std::to_string(s));
+            if (trace) trace->set_node_name(switches_[s]->id(), "sequencer " + std::to_string(s));
         }
-        if (trace) {
-            for (const auto& r : replicas_) {
-                trace->set_node_name(r->id(), "replica " + std::to_string(r->id()));
-            }
-            for (std::size_t s = 0; s < switches_.size(); ++s) {
-                trace->set_node_name(switches_[s]->id(), "sequencer " + std::to_string(s));
-            }
-            trace->set_node_name(kConfigId, "config service");
-            for (const auto& c : clients_) {
-                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
-            }
-        }
+        if (trace) trace->set_node_name(config_->id(), "config service");
     }
 
-    const std::vector<std::unique_ptr<neobft::Replica>>& replicas() const { return replicas_; }
-
   private:
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
     aom::AomKeyService keys_;
-    std::vector<std::unique_ptr<aom::SequencerSwitch>> switches_;
-    std::vector<scenario::ByzSequencer*> byz_switches_;
+    std::unique_ptr<neobft::ShardRouter> router_;  // sharded only
+    std::vector<std::unique_ptr<scenario::ByzSequencer>> switches_;
     std::unique_ptr<aom::ConfigService> config_;
-    std::vector<std::unique_ptr<neobft::Replica>> replicas_;
-    std::vector<std::unique_ptr<neobft::Client>> clients_;
+    std::vector<std::unique_ptr<neobft::ShardClient>> shard_clients_;  // sharded only
 };
 
 // -------------------------------------------------------------- baselines
 
-template <typename ReplicaT, typename CfgT>
-class BaselineDeployment : public Deployment {
-  public:
-    BaselineDeployment(const CommonParams& p, int n_replicas, std::size_t client_quorum,
-                       const std::function<std::unique_ptr<ReplicaT>(
-                           const CfgT&, std::unique_ptr<crypto::NodeCrypto>)>& make_replica)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1) {
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
+/// Replicas 1..n with the harness's batching bounds; f follows the
+/// n_replicas = 3f+1 convention even where the group is smaller (MinBFT).
+template <typename CfgT>
+CfgT baseline_config(const CommonParams& p, int n) {
+    CfgT cfg;
+    cfg.f = (p.n_replicas - 1) / 3;
+    cfg.batch_max = p.batch_max;
+    cfg.batch_delay = p.batch_delay;
+    for (int i = 0; i < n; ++i) cfg.replicas.push_back(kReplicaBase + static_cast<NodeId>(i));
+    return cfg;
+}
 
-        cfg_.f = (p.n_replicas - 1) / 3;
-        cfg_.batch_max = p.batch_max;
-        cfg_.batch_delay = p.batch_delay;
-        for (int i = 0; i < n_replicas; ++i) {
-            cfg_.replicas.push_back(kReplicaBase + static_cast<NodeId>(i));
-        }
-        auditor_.configure(sim_.partitions() + 1);
-        for (NodeId rid : cfg_.replicas) {
-            auto rep = make_replica(cfg_, root_.provision(rid));
-            if (p.baseline_app_factory) rep->set_app(p.baseline_app_factory());
-            rep->set_auditor(&auditor_);
-            net_.add_node(*rep, rid);
+template <typename ReplicaT, typename ClientT = baselines::QuorumClient>
+class BaselineDeployment : public ReplicatedDeployment<ReplicaT, ClientT> {
+  public:
+    using ReplicatedDeployment<ReplicaT, ClientT>::replicas_;
+
+    /// `make_replica` / `make_client` build one node from its provisioned
+    /// crypto; every replica runs `p.app_factory` (echo when unset).
+    template <typename MakeReplica, typename MakeClient>
+    BaselineDeployment(const CommonParams& p, const baselines::BaseConfig& cfg,
+                       const MakeReplica& make_replica, const MakeClient& make_client)
+        : ReplicatedDeployment<ReplicaT, ClientT>(p) {
+        for (NodeId rid : cfg.replicas) {
+            std::unique_ptr<ReplicaT> rep = make_replica(this->root_.provision(rid));
+            if (p.app_factory) rep->set_app(p.app_factory());
+            rep->set_auditor(&this->auditor_);
+            this->net_.add_node(*rep, rid);
             replicas_.push_back(std::move(rep));
         }
+        const NodeId client_base = kClientBase + infra_shift(cfg.n());
         for (int i = 0; i < p.n_clients; ++i) {
-            NodeId cid = kClientBase + static_cast<NodeId>(i);
-            clients_.push_back(std::make_unique<baselines::QuorumClient>(
-                cfg_, root_.provision(cid), client_quorum));
-            net_.add_node(*clients_.back(), cid);
+            NodeId cid = client_base + static_cast<NodeId>(i);
+            this->clients_.push_back(make_client(this->root_.provision(cid)));
+            this->net_.add_node(*this->clients_.back(), cid);
         }
     }
-
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
-    int n_clients() const override { return static_cast<int>(clients_.size()); }
-    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
-        clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
-    }
-    std::vector<NodeId> replica_ids() const override { return cfg_.replicas; }
-    crypto::CostMeter* replica_meter(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) return &r->node_crypto().meter();
-        }
-        return nullptr;
-    }
-    bool set_replica_equivocate(NodeId id, bool on) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->set_equivocate(on);
-                return true;
-            }
-        }
-        return false;
-    }
-    std::uint64_t client_completed(int c) const override {
-        return clients_[static_cast<std::size_t>(c)]->completed();
-    }
-
-    void register_obs(obs::Registry& reg, const std::string& prefix,
-                      obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
-        for (auto& r : replicas_) {
-            r->register_metrics(reg, prefix + ".replica." + std::to_string(r->id()));
-        }
-        if (trace) {
-            for (const auto& r : replicas_) {
-                trace->set_node_name(r->id(), "replica " + std::to_string(r->id()));
-            }
-            for (const auto& c : clients_) {
-                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
-            }
-        }
-    }
-
-    CfgT cfg_;
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
-    std::vector<std::unique_ptr<ReplicaT>> replicas_;
-    std::vector<std::unique_ptr<baselines::QuorumClient>> clients_;
 };
 
-class ZyzzyvaDeployment : public Deployment {
-  public:
-    explicit ZyzzyvaDeployment(const ZyzzyvaParams& p)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1) {
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
-        cfg_.f = (p.n_replicas - 1) / 3;
-        cfg_.batch_max = p.batch_max;
-        cfg_.batch_delay = p.batch_delay;
-        for (int i = 0; i < p.n_replicas; ++i) {
-            cfg_.replicas.push_back(kReplicaBase + static_cast<NodeId>(i));
-        }
-        auditor_.configure(sim_.partitions() + 1);
-        for (NodeId rid : cfg_.replicas) {
-            auto rep = std::make_unique<baselines::ZyzzyvaReplica>(cfg_, root_.provision(rid));
-            if (p.baseline_app_factory) rep->set_app(p.baseline_app_factory());
-            rep->set_auditor(&auditor_);
-            net_.add_node(*rep, rid);
-            replicas_.push_back(std::move(rep));
-        }
-        if (p.faulty_replica) replicas_.back()->set_silent(true);
-        for (int i = 0; i < p.n_clients; ++i) {
-            NodeId cid = kClientBase + static_cast<NodeId>(i);
-            clients_.push_back(
-                std::make_unique<baselines::ZyzzyvaClient>(cfg_, root_.provision(cid)));
-            net_.add_node(*clients_.back(), cid);
-        }
-    }
-
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
-    int n_clients() const override { return static_cast<int>(clients_.size()); }
-    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
-        clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
-    }
-    std::vector<NodeId> replica_ids() const override { return cfg_.replicas; }
-    crypto::CostMeter* replica_meter(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) return &r->node_crypto().meter();
-        }
-        return nullptr;
-    }
-    bool set_replica_equivocate(NodeId id, bool on) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->set_equivocate(on);
-                return true;
-            }
-        }
-        return false;
-    }
-    std::uint64_t client_completed(int c) const override {
-        return clients_[static_cast<std::size_t>(c)]->completed();
-    }
-
-    void register_obs(obs::Registry& reg, const std::string& prefix,
-                      obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
-        for (auto& r : replicas_) {
-            r->register_metrics(reg, prefix + ".replica." + std::to_string(r->id()));
-        }
-        if (trace) {
-            for (const auto& r : replicas_) {
-                trace->set_node_name(r->id(), "replica " + std::to_string(r->id()));
-            }
-            for (const auto& c : clients_) {
-                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
-            }
-        }
-    }
-
-  private:
-    baselines::ZyzzyvaConfig cfg_;
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
-    std::vector<std::unique_ptr<baselines::ZyzzyvaReplica>> replicas_;
-    std::vector<std::unique_ptr<baselines::ZyzzyvaClient>> clients_;
-};
+/// Clients that accept a result on f+1 matching replies.
+auto quorum_clients(const baselines::BaseConfig& cfg) {
+    return [&cfg](std::unique_ptr<crypto::NodeCrypto> c) {
+        return std::make_unique<baselines::QuorumClient>(cfg, std::move(c),
+                                                         static_cast<std::size_t>(cfg.f + 1));
+    };
+}
 
 }  // namespace
 
@@ -712,46 +701,75 @@ std::unique_ptr<Deployment> make_unreplicated(const CommonParams& p) {
 }
 
 std::unique_ptr<Deployment> make_neobft(const NeoParams& p) {
-    return std::make_unique<NeoDeployment>(p);
+    return std::make_unique<NeoDeployment>(p, nullptr);
+}
+
+std::unique_ptr<Deployment> make_sharded_neobft(const ShardParams& p) {
+    return std::make_unique<NeoDeployment>(p, &p);
 }
 
 std::unique_ptr<Deployment> make_pbft(const CommonParams& p) {
-    int f = (p.n_replicas - 1) / 3;
-    return std::make_unique<BaselineDeployment<baselines::PbftReplica, baselines::PbftConfig>>(
-        p, p.n_replicas, static_cast<std::size_t>(f + 1),
-        [](const baselines::PbftConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
-            return std::make_unique<baselines::PbftReplica>(cfg, std::move(c));
-        });
+    using namespace baselines;
+    const auto cfg = baseline_config<PbftConfig>(p, p.n_replicas);
+    return std::make_unique<BaselineDeployment<PbftReplica>>(
+        p, cfg, [&](auto c) { return std::make_unique<PbftReplica>(cfg, std::move(c)); },
+        quorum_clients(cfg));
 }
 
 std::unique_ptr<Deployment> make_zyzzyva(const ZyzzyvaParams& p) {
-    return std::make_unique<ZyzzyvaDeployment>(p);
+    using namespace baselines;
+    const auto cfg = baseline_config<ZyzzyvaConfig>(p, p.n_replicas);
+    auto d = std::make_unique<BaselineDeployment<ZyzzyvaReplica, ZyzzyvaClient>>(
+        p, cfg, [&](auto c) { return std::make_unique<ZyzzyvaReplica>(cfg, std::move(c)); },
+        [&](auto c) { return std::make_unique<ZyzzyvaClient>(cfg, std::move(c)); });
+    if (p.faulty_replica) d->replicas_.back()->set_silent(true);
+    return d;
 }
 
 std::unique_ptr<Deployment> make_hotstuff(const CommonParams& p) {
-    int f = (p.n_replicas - 1) / 3;
-    return std::make_unique<
-        BaselineDeployment<baselines::HotStuffReplica, baselines::HotStuffConfig>>(
-        p, p.n_replicas, static_cast<std::size_t>(f + 1),
-        [](const baselines::HotStuffConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
-            return std::make_unique<baselines::HotStuffReplica>(cfg, std::move(c));
-        });
+    using namespace baselines;
+    const auto cfg = baseline_config<HotStuffConfig>(p, p.n_replicas);
+    return std::make_unique<BaselineDeployment<HotStuffReplica>>(
+        p, cfg, [&](auto c) { return std::make_unique<HotStuffReplica>(cfg, std::move(c)); },
+        quorum_clients(cfg));
 }
 
 std::unique_ptr<Deployment> make_minbft(const CommonParams& p) {
-    int f = (p.n_replicas - 1) / 3;
-    int n = 2 * f + 1;
-    std::uint64_t usig_seed = p.seed + 7;
-    auto d = std::make_unique<
-        BaselineDeployment<baselines::MinbftReplica, baselines::MinbftConfig>>(
-        p, n, static_cast<std::size_t>(f + 1),
-        [usig_seed](const baselines::MinbftConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
-            return std::make_unique<baselines::MinbftReplica>(cfg, std::move(c), usig_seed);
-        });
-    // BaselineDeployment computed f from n_replicas (3f+1 convention); MinBFT
-    // keeps the same f but with 2f+1 replicas.
-    d->cfg_.f = f;
-    return d;
+    using namespace baselines;
+    const auto cfg = baseline_config<MinbftConfig>(p, 2 * ((p.n_replicas - 1) / 3) + 1);
+    const std::uint64_t usig_seed = p.seed + 7;
+    return std::make_unique<BaselineDeployment<MinbftReplica>>(
+        p, cfg,
+        [&](auto c) { return std::make_unique<MinbftReplica>(cfg, std::move(c), usig_seed); },
+        quorum_clients(cfg));
+}
+
+OpGen sharded_txn_ops(const ShardTxnWorkload& w, int n_clients) {
+    NEO_ASSERT(w.n_shards >= 1);
+    // A router over the same even range tiling the deployment uses: group
+    // ids are irrelevant to shard_index, so the workload's copy routes
+    // identically to the deployment's.
+    std::vector<aom::GroupConfig> gs(static_cast<std::size_t>(w.n_shards));
+    for (std::size_t s = 0; s < gs.size(); ++s) gs[s].group = static_cast<GroupId>(s);
+    auto router =
+        std::make_shared<neobft::ShardRouter>(neobft::ShardRouter::assign_ranges(std::move(gs)));
+
+    // Per-client generator state: client c's stream is touched only from
+    // its own partition (the closed loop reissues from c's completion
+    // context), so no cross-thread sharing.
+    auto gens = std::make_shared<std::vector<std::unique_ptr<app::YcsbWorkload>>>();
+    for (int c = 0; c < n_clients; ++c) {
+        gens->push_back(std::make_unique<app::YcsbWorkload>(
+            w.dataset, w.seed * 1'000'003 + static_cast<std::uint64_t>(c)));
+    }
+
+    app::YcsbWorkload::TxnConfig tc{w.ops_per_txn, w.cross_shard_ratio};
+    const auto n_shards = static_cast<std::size_t>(w.n_shards);
+    return [router, gens, tc, n_shards](int client, std::uint64_t) {
+        app::KvTxnOp txn = (*gens)[static_cast<std::size_t>(client)]->next_txn(
+            tc, [&](BytesView key) { return router->shard_index(key); }, n_shards);
+        return txn.serialize();
+    };
 }
 
 // ------------------------------------------------------------------ output

@@ -49,13 +49,16 @@ struct Measured {
     std::map<std::string, double> phase;
 };
 
-/// Type-erased running system: owns all nodes; the driver only needs
-/// per-client invoke().
+struct CommonParams;
+
+/// Type-erased running system: owns the simulator, network, trust root and
+/// auditor every protocol shares, plus (in subclasses) all nodes; the
+/// driver only needs per-client invoke().
 class Deployment {
   public:
     virtual ~Deployment() = default;
-    virtual sim::Simulator& simulator() = 0;
-    virtual sim::Network& network() = 0;
+    sim::Simulator& simulator() { return sim_; }
+    sim::Network& network() { return net_; }
     virtual int n_clients() const = 0;
     virtual void invoke(int client, Bytes op, std::function<void(Bytes)> done) = 0;
 
@@ -75,9 +78,6 @@ class Deployment {
     virtual bool recover_replica(NodeId) { return false; }
     virtual bool set_replica_equivocate(NodeId, bool) { return false; }
     virtual bool sequencer_fault(const scenario::Adapter::SeqFault&) { return false; }
-    /// Requests this client has completed since construction (liveness
-    /// floor accounting; 0 when the deployment has no per-client counter).
-    virtual std::uint64_t client_completed(int) const { return 0; }
     /// Drops client's in-flight cross-shard transaction without a decision
     /// (coordinator crash between prepare and commit). Sharded only.
     virtual bool abandon_coordinator(int) { return false; }
@@ -104,13 +104,21 @@ class Deployment {
         network().register_metrics(reg, prefix + ".net");
     }
 
-    /// Online safety-invariant monitor. Every deployment constructor sizes
-    /// it (partitions + 1 shards) and wires its replicas' reporting hooks,
-    /// so commit/execute ordering is audited on EVERY bench and test run;
-    /// run_closed_loop() finalizes it and aborts on any violation.
+    /// Online safety-invariant monitor. The base constructor sizes it
+    /// (partitions + 1 shards) and every deployment wires its replicas'
+    /// reporting hooks, so commit/execute ordering is audited on EVERY
+    /// bench and test run; run_closed_loop() finalizes it and aborts on any
+    /// violation.
     obs::Auditor& auditor() { return auditor_; }
 
   protected:
+    /// Seeded simulator (`p.placement` installed when set) and network on
+    /// the datacenter link profile with `p.drop_rate`, trust root, auditor.
+    explicit Deployment(const CommonParams& p);
+
+    sim::Simulator sim_;
+    sim::Network net_;
+    crypto::TrustRoot root_;
     obs::Auditor auditor_;
 };
 
@@ -250,14 +258,17 @@ struct CommonParams {
     /// deployments). Placement is host-locality only — simulated results
     /// are byte-identical for every policy (test_placement).
     sim::Simulator::PlacementFn placement;
-    /// Replica application for NeoBFT (stateful, undo-capable).
+    /// Replica application for every replicated protocol (stateful,
+    /// undo-capable); unset = app::EchoApp, the §6.2 workload. The sharded
+    /// NeoBFT shape always runs app::KvStateMachine (see ShardParams).
     std::function<std::unique_ptr<app::StateMachine>()> app_factory;
-    /// Replica application for the baselines (one closure per replica).
-    std::function<std::function<Bytes(BytesView)>()> baseline_app_factory;
 };
 
 enum class NeoVariant { kHm, kPk, kBn };
 
+/// NeoBFT over one aom group (the paper's configuration). Every switch is a
+/// scenario::ByzSequencer, so the scenario engine's sequencer faults work
+/// on every NeoBFT shape.
 struct NeoParams : CommonParams {
     NeoVariant variant = NeoVariant::kHm;
     /// Fig 8's EC2-style software sequencer profile.
@@ -270,28 +281,22 @@ struct NeoParams : CommonParams {
     /// log GC (the perf-figure default). Scenario runs set it so the
     /// crash-recover lifecycle exercises checkpoint fetch.
     std::uint64_t checkpoint_interval = 0;
-    /// Build the sequencer switches as scenario::ByzSequencer so the
-    /// scenario engine can inject drop/duplicate/corrupt/strip-sig faults.
-    bool byz_sequencer = false;
 };
 
 std::unique_ptr<Deployment> make_unreplicated(const CommonParams& p);
 std::unique_ptr<Deployment> make_neobft(const NeoParams& p);
 std::unique_ptr<Deployment> make_pbft(const CommonParams& p);
 
-/// Multi-group sharded NeoBFT: `n_shards` independent sequencer groups, each
-/// a full NeoBFT replica group serving a contiguous slice of the key-hash
+/// The same NeoBFT deployment over `n_shards` independent sequencer groups,
+/// each a full replica group serving a contiguous slice of the key-hash
 /// space, fronted by per-client cross-shard 2PC coordinators
 /// (neobft::ShardClient). PDES placement is group-affine: a shard's
 /// replicas and home switch share a partition, as do all child clients of
-/// one logical client.
-struct ShardParams : CommonParams {
+/// one logical client. At most 8 replicas per shard.
+struct ShardParams : NeoParams {
     int n_shards = 2;
-    NeoVariant variant = NeoVariant::kHm;
-    aom::ReceiverOptions receiver{};
-    std::uint64_t sync_interval = 128;
-    /// Every replica's kv store is pre-loaded with this dataset (shared key
-    /// space; routing decides which keys each shard actually serves).
+    /// Every replica runs an app::KvStateMachine pre-loaded with the
+    /// records of this dataset its shard's key range owns.
     /// record_count = 0 skips the preload.
     app::YcsbConfig dataset{10'000, 32, 0.5, 0.99};
     /// Test hook: every replica of this shard runs the forged-prepare

@@ -3,7 +3,57 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/assert.hpp"
+
 namespace neo::bench {
+
+const std::vector<std::string>& scenario_protocols() {
+    static const std::vector<std::string> protos = {
+        "neo_hm", "neo_pk", "neo_hm_2shard", "neo_pk_2shard",
+        "pbft",   "zyzzyva", "hotstuff",     "minbft"};
+    return protos;
+}
+
+ScenarioRow make_scenario_row(const std::string& proto, std::uint64_t seed, unsigned sim_threads,
+                              crypto::CryptoMode mode) {
+    constexpr int kShardReplicas = 4;
+    const bool sharded = proto.ends_with("_2shard");
+    CommonParams c;
+    c.n_clients = 4;
+    c.seed = seed;
+    c.sim_threads = sim_threads;
+    c.crypto_mode = mode;
+    ScenarioRow row;
+    row.ops = echo_ops(64);
+    if (proto.starts_with("neo_")) {
+        ShardParams p;  // 2 shards x 4 replicas when sharded
+        static_cast<CommonParams&>(p) = c;
+        p.variant = proto.starts_with("neo_pk") ? NeoVariant::kPk : NeoVariant::kHm;
+        p.n_replicas = kShardReplicas;
+        p.checkpoint_interval = 128;  // must be a multiple of sync_interval
+        row.d = sharded ? make_sharded_neobft(p) : make_neobft(p);
+    } else if (proto == "zyzzyva") {
+        row.d = make_zyzzyva(ZyzzyvaParams{c});
+    } else if (proto == "pbft") {
+        row.d = make_pbft(c);
+    } else if (proto == "hotstuff") {
+        row.d = make_hotstuff(c);
+    } else {
+        NEO_ASSERT_MSG(proto == "minbft", "unknown scenario protocol");
+        row.d = make_minbft(c);
+    }
+    row.targets = row.d->replica_ids();
+    if (sharded) {
+        // Transaction generators are stateful: a fresh stream per row.
+        ShardTxnWorkload w;
+        w.n_shards = 2;
+        w.cross_shard_ratio = 0.2;
+        w.seed = seed;
+        row.ops = sharded_txn_ops(w, row.d->n_clients());
+        row.targets.erase(row.targets.begin(), row.targets.end() - kShardReplicas);
+    }
+    return row;
+}
 
 std::string ScenarioOutcome::to_string() const {
     std::string s = scenario + ": " + (ok ? "ok" : "FAIL");

@@ -11,6 +11,7 @@
 // never needed.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,24 @@ struct ScenarioOutcome {
     /// test's byte comparison.
     std::string to_string() const;
 };
+
+/// Protocol rows of the scenario matrix (bench/fig_scenarios and the tsan
+/// matrix test): NeoBFT-HM and -PK with checkpointing on, the same two over
+/// 2 shards x 4 replicas ("neo_hm_2shard", "neo_pk_2shard"), and the four
+/// baselines.
+const std::vector<std::string>& scenario_protocols();
+
+/// One freshly built matrix row: the deployment, the ops its clients issue
+/// (64-B echo; 20%-cross-shard YCSB transactions on the 2-shard rows) and
+/// the replicas a scenario may target (the last shard's on the 2-shard
+/// rows, so each group stays within f).
+struct ScenarioRow {
+    std::unique_ptr<Deployment> d;
+    OpGen ops;
+    std::vector<NodeId> targets;
+};
+ScenarioRow make_scenario_row(const std::string& proto, std::uint64_t seed, unsigned sim_threads,
+                              crypto::CryptoMode mode = crypto::CryptoMode::kModeled);
 
 /// Applies `sc` to `d`, drives every client closed-loop for `duration` of
 /// virtual time, finalizes the auditor and evaluates the scenario's

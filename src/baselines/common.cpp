@@ -267,7 +267,6 @@ void QuorumClient::handle(NodeId from, BytesView data) {
             }
             cancel_timer(outstanding_->retry_timer);
             outstanding_.reset();
-            ++completed_;
             cb(std::move(result));
         }
     } catch (const CodecError&) {
@@ -345,7 +344,6 @@ void UnreplicatedClient::handle(NodeId from, BytesView data) {
             tr->span_end(sim().now(), id(), "request", trace_id_, from);
         }
         outstanding_.reset();
-        ++completed_;
         cb(std::move(result));
     } catch (const CodecError&) {
     }

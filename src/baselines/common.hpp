@@ -20,6 +20,7 @@
 #include <set>
 #include <vector>
 
+#include "apps/state_machine.hpp"
 #include "common/codec.hpp"
 #include "common/types.hpp"
 #include "crypto/identity.hpp"
@@ -231,7 +232,6 @@ class QuorumClient : public sim::ProcessingNode {
 
     void invoke(Bytes op, Callback cb);
     bool busy() const { return outstanding_.has_value(); }
-    std::uint64_t completed() const { return completed_; }
     crypto::NodeCrypto& node_crypto() { return *crypto_; }
 
   protected:
@@ -256,7 +256,6 @@ class QuorumClient : public sim::ProcessingNode {
     sim::Time retry_timeout_;
     std::uint64_t next_request_id_ = 1;
     std::optional<Outstanding> outstanding_;
-    std::uint64_t completed_ = 0;
 };
 
 // ---------------- Unreplicated baseline ----------------
@@ -285,7 +284,6 @@ class UnreplicatedClient : public sim::ProcessingNode {
 
     UnreplicatedClient(NodeId server, std::unique_ptr<crypto::NodeCrypto> crypto);
     void invoke(Bytes op, Callback cb);
-    std::uint64_t completed() const { return completed_; }
 
   protected:
     void handle(NodeId from, BytesView data) override;
@@ -296,7 +294,6 @@ class UnreplicatedClient : public sim::ProcessingNode {
     std::uint64_t next_request_id_ = 1;
     std::optional<std::pair<std::uint64_t, Callback>> outstanding_;
     std::uint64_t trace_id_ = 0;  // current request's span id (0 = untraced)
-    std::uint64_t completed_ = 0;
 };
 
 }  // namespace neo::baselines

@@ -25,8 +25,8 @@ class HotStuffReplica : public sim::ProcessingNode {
   public:
     HotStuffReplica(HotStuffConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
 
-    using AppFn = std::function<Bytes(BytesView)>;
-    void set_app(AppFn app) { app_ = std::move(app); }
+    /// Replicated application (defaults to app::EchoApp).
+    void set_app(std::unique_ptr<app::StateMachine> app) { app_ = std::move(app); }
 
     struct Stats {
         std::uint64_t batches_decided = 0;
@@ -77,7 +77,7 @@ class HotStuffReplica : public sim::ProcessingNode {
 
     HotStuffConfig cfg_;
     std::unique_ptr<crypto::NodeCrypto> crypto_;
-    AppFn app_;
+    std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
     std::uint64_t view_ = 0;
     std::uint64_t next_seq_ = 1;
     std::uint64_t last_executed_ = 0;

@@ -190,9 +190,9 @@ void MinbftReplica::try_execute() {
             // lineage protocols verify one entry per request per replica.
             crypto_->meter().macs++;
             crypto_->meter().charge(crypto_->root().costs().mac_ns);
-            Bytes result = app_ ? app_(req.op) : req.op;
-            charge(300);
-            ++stats_.requests_executed;
+            Bytes result = app_->execute(req.op);
+            charge(app_->execute_cost_ns(req.op));
+            app_->commit_prefix(++stats_.requests_executed);
             probe_.on_execute(*this, req);
 
             Reply reply;

@@ -95,8 +95,8 @@ class MinbftReplica : public sim::ProcessingNode {
     MinbftReplica(MinbftConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
                   std::uint64_t usig_seed);
 
-    using AppFn = std::function<Bytes(BytesView)>;
-    void set_app(AppFn app) { app_ = std::move(app); }
+    /// Replicated application (defaults to app::EchoApp).
+    void set_app(std::unique_ptr<app::StateMachine> app) { app_ = std::move(app); }
 
     struct Stats {
         std::uint64_t batches_committed = 0;
@@ -143,7 +143,7 @@ class MinbftReplica : public sim::ProcessingNode {
     MinbftConfig cfg_;
     std::unique_ptr<crypto::NodeCrypto> crypto_;
     Usig usig_;
-    AppFn app_;
+    std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
     std::uint64_t view_ = 0;
     std::uint64_t next_seq_ = 1;       // primary's batch sequence
     std::uint64_t last_executed_ = 0;

@@ -221,11 +221,9 @@ void PbftReplica::execute_batch(Slot& slot) {
         // lineage protocols verify one entry per request per replica.
         crypto_->meter().macs++;
         crypto_->meter().charge(crypto_->root().costs().mac_ns);
-        // Echo semantics (the Fig 7 workload); the bench harness swaps in
-        // richer state machines through PbftApp below when needed.
-        Bytes result = app_ ? app_(req.op) : req.op;
-        charge(300);
-        ++stats_.requests_executed;
+        Bytes result = app_->execute(req.op);
+        charge(app_->execute_cost_ns(req.op));
+        app_->commit_prefix(++stats_.requests_executed);
         probe_.on_execute(*this, req);
 
         Reply reply;

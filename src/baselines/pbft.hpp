@@ -28,9 +28,8 @@ class PbftReplica : public sim::ProcessingNode {
     /// at every registry dump.
     void register_metrics(obs::Registry& reg, const std::string& prefix);
 
-    /// Pluggable deterministic application (defaults to echo).
-    using AppFn = std::function<Bytes(BytesView)>;
-    void set_app(AppFn app) { app_ = std::move(app); }
+    /// Replicated application (defaults to app::EchoApp).
+    void set_app(std::unique_ptr<app::StateMachine> app) { app_ = std::move(app); }
     std::uint64_t executed_seq() const { return last_executed_; }
     crypto::NodeCrypto& node_crypto() { return *crypto_; }
     /// Report executed requests to the deployment's safety Auditor.
@@ -85,7 +84,7 @@ class PbftReplica : public sim::ProcessingNode {
     std::map<std::uint64_t, std::set<NodeId>> checkpoint_votes_;
     std::uint64_t stable_checkpoint_ = 0;
     Stats stats_;
-    AppFn app_;
+    std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
     ExecProbe probe_;
 };
 

@@ -142,9 +142,9 @@ void ZyzzyvaReplica::execute_ordered(std::uint64_t seq, std::vector<Request> bat
         // lineage protocols verify one entry per request per replica.
         crypto_->meter().macs++;
         crypto_->meter().charge(crypto_->root().costs().mac_ns);
-        Bytes result = app_ ? app_(req.op) : req.op;
-        charge(300);
-        ++stats_.requests_executed;
+        Bytes result = app_->execute(req.op);
+        charge(app_->execute_cost_ns(req.op));
+        app_->commit_prefix(++stats_.requests_executed);
         probe_.on_execute(*this, req);
 
         // Speculative response: carries (view, seq, history) so the client
@@ -394,7 +394,6 @@ void ZyzzyvaClient::complete(Bytes result, NodeId peer) {
     cancel_timer(outstanding_->fast_timer);
     cancel_timer(outstanding_->retry_timer);
     outstanding_.reset();
-    ++completed_;
     cb(std::move(result));
 }
 

@@ -24,8 +24,8 @@ class ZyzzyvaReplica : public sim::ProcessingNode {
   public:
     ZyzzyvaReplica(ZyzzyvaConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
 
-    using AppFn = std::function<Bytes(BytesView)>;
-    void set_app(AppFn app) { app_ = std::move(app); }
+    /// Replicated application (defaults to app::EchoApp).
+    void set_app(std::unique_ptr<app::StateMachine> app) { app_ = std::move(app); }
 
     struct Stats {
         std::uint64_t batches_ordered = 0;
@@ -65,7 +65,7 @@ class ZyzzyvaReplica : public sim::ProcessingNode {
 
     ZyzzyvaConfig cfg_;
     std::unique_ptr<crypto::NodeCrypto> crypto_;
-    AppFn app_;
+    std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
     std::uint64_t view_ = 0;
     std::uint64_t next_seq_ = 1;       // primary
     std::uint64_t max_executed_ = 0;   // highest executed seq (contiguous)
@@ -99,7 +99,6 @@ class ZyzzyvaClient : public sim::ProcessingNode {
                   Options opts = {});
 
     void invoke(Bytes op, Callback cb);
-    std::uint64_t completed() const { return completed_; }
     std::uint64_t fast_commits() const { return fast_commits_; }
     std::uint64_t slow_commits() const { return slow_commits_; }
     crypto::NodeCrypto& node_crypto() { return *crypto_; }
@@ -138,7 +137,6 @@ class ZyzzyvaClient : public sim::ProcessingNode {
     Options opts_;
     std::uint64_t next_request_id_ = 1;
     std::optional<Outstanding> outstanding_;
-    std::uint64_t completed_ = 0;
     std::uint64_t fast_commits_ = 0;
     std::uint64_t slow_commits_ = 0;
 };

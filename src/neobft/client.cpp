@@ -111,7 +111,6 @@ void Client::on_reply(NodeId from, Reader& r) {
         }
         cancel_timer(outstanding_->retry_timer);
         outstanding_.reset();
-        ++completed_;
         cb(std::move(result));
     }
 }

@@ -46,7 +46,6 @@ class Client : public sim::ProcessingNode {
     void cancel_after(TimerId id) { cancel_timer(id); }
 
     bool busy() const { return outstanding_.has_value(); }
-    std::uint64_t completed() const { return completed_; }
     std::uint64_t retries() const { return retries_; }
     crypto::NodeCrypto& node_crypto() { return *crypto_; }
 
@@ -79,7 +78,6 @@ class Client : public sim::ProcessingNode {
     Options opts_;
     std::uint64_t next_request_id_ = 1;
     std::optional<Outstanding> outstanding_;
-    std::uint64_t completed_ = 0;
     std::uint64_t retries_ = 0;
 };
 

@@ -31,7 +31,8 @@ sim::Packet ByzSequencer::corrupted_copy(const sim::Packet& packet) {
 }
 
 void ByzSequencer::emit(NodeId receiver, sim::Time depart, sim::Packet packet) {
-    SeqNum seq = emitted_seq(packet.view());
+    // Honest until a fault is set: forward without parsing the packet.
+    SeqNum seq = faults_ == Faults{} ? 0 : emitted_seq(packet.view());
     if (seq == 0) {
         SequencerSwitch::emit(receiver, depart, std::move(packet));
         return;

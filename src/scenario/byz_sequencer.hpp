@@ -6,7 +6,9 @@
 // duplicates, corrupts, signature-strips or equivocates sequenced packets
 // must never cause a divergent commit — only slower progress until
 // failover. This subclass makes those attacks injectable so the scenario
-// matrix can check exactly that.
+// matrix can check exactly that. Every NeoBFT bench deployment builds its
+// switches as this class; with no fault set, emit() forwards without
+// parsing the packet.
 //
 // Faults key off the sequence number stamped into the emitted packet
 // (`seq % mod == 0`), so a fault hits the SAME sequenced message for every
@@ -36,6 +38,7 @@ class ByzSequencer : public aom::SequencerSwitch {
         std::uint32_t corrupt_mod = 0;     // flipped payload byte (auth must fail)
         std::uint32_t strip_sig_mod = 0;   // PK variant: signature cleared
         std::uint32_t equivocate_mod = 0;  // corrupt for odd-id receivers only
+        bool operator==(const Faults&) const = default;
     };
     void set_faults(const Faults& f) { faults_ = f; }
     const Faults& faults() const { return faults_; }

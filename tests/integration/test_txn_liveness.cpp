@@ -27,9 +27,9 @@ namespace {
 
 constexpr std::uint64_t kSeed = 9090;
 
-// Node-id layout mirrored from the sharded deployment (bench/harness/
-// sharded.cpp): child client of (logical client c, shard s) and the home
-// switch of shard s.
+// Node-id layout mirrored from the sharded NeoBFT deployment
+// (bench/harness/harness.cpp): child client of (logical client c, shard s)
+// and the home switch of shard s.
 NodeId child_client_id(int c, int s) { return 1'000 + 32 * static_cast<NodeId>(c) + static_cast<NodeId>(s); }
 NodeId home_switch_id(int s) { return 910 + static_cast<NodeId>(s); }
 

@@ -2,7 +2,9 @@
 // every protocol in the evaluation, with the auditor checking safety
 // (expected violations must fire, anything else fails) and the liveness
 // floor on each cell — plus the engine's determinism contract: same-seed
-// scenario outcomes are byte-identical across --sim-threads {1, 8}.
+// scenario outcomes are byte-identical across --sim-threads {1, 8}. The
+// neo_*_2shard rows run the sharded NeoBFT shape (2 groups x 4 replicas,
+// 20%-cross-shard YCSB transactions) under the same catalogue.
 //
 // tsan label: scenario faults mutate cross-node shared state (network
 // blocks, node-down flags, sequencer fault knobs) from global events
@@ -24,33 +26,6 @@ namespace {
 
 constexpr std::uint64_t kSeed = 777;
 constexpr sim::Time kHorizon = 20 * sim::kMillisecond;
-
-std::unique_ptr<Deployment> make_proto(const std::string& proto, unsigned sim_threads = 1) {
-    if (proto == "neo_hm" || proto == "neo_pk") {
-        NeoParams p;
-        p.variant = proto == "neo_pk" ? NeoVariant::kPk : NeoVariant::kHm;
-        p.n_clients = 4;
-        p.seed = kSeed;
-        p.sim_threads = sim_threads;
-        p.byz_sequencer = true;
-        p.checkpoint_interval = 128;
-        return make_neobft(p);
-    }
-    if (proto == "zyzzyva") {
-        ZyzzyvaParams p;
-        p.n_clients = 4;
-        p.seed = kSeed;
-        p.sim_threads = sim_threads;
-        return make_zyzzyva(p);
-    }
-    CommonParams p;
-    p.n_clients = 4;
-    p.seed = kSeed;
-    p.sim_threads = sim_threads;
-    if (proto == "pbft") return make_pbft(p);
-    if (proto == "hotstuff") return make_hotstuff(p);
-    return make_minbft(p);
-}
 
 scenario::Scenario scenario_by_name(const std::string& name,
                                     const std::vector<NodeId>& replicas) {
@@ -75,16 +50,15 @@ class ScenarioMatrix : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(ScenarioMatrix, PassesSafetyAndLiveness) {
     const auto& [proto, name] = GetParam();
-    auto d = make_proto(proto);
-    scenario::Scenario sc = scenario_by_name(name, d->replica_ids());
-    ScenarioOutcome out = run_scenario(*d, sc, echo_ops(64), kHorizon);
+    ScenarioRow row = make_scenario_row(proto, kSeed, 1);
+    scenario::Scenario sc = scenario_by_name(name, row.targets);
+    ScenarioOutcome out = run_scenario(*row.d, sc, row.ops, kHorizon);
     EXPECT_TRUE(out.ok) << proto << " " << out.to_string();
 }
 
 std::vector<Cell> all_cells() {
     std::vector<Cell> cells;
-    for (const std::string& proto :
-         {"neo_hm", "neo_pk", "pbft", "zyzzyva", "hotstuff", "minbft"}) {
+    for (const std::string& proto : scenario_protocols()) {
         for (const std::string& name : scenario_names()) cells.push_back({proto, name});
     }
     return cells;
@@ -99,20 +73,20 @@ TEST(ScenarioDeterminism, OutcomeByteIdenticalAcrossThreadCounts) {
     // The engine schedules every fault as a global event, so a scenario
     // run — faults, recovery, auditor stream and all — must be a pure
     // function of (seed, scenario), independent of worker threads.
-    for (const std::string& proto : {"neo_hm", "neo_pk"}) {
+    for (const std::string& proto : {"neo_hm", "neo_pk", "neo_hm_2shard", "neo_pk_2shard"}) {
         for (const std::string& name : {"crash_recover", "seq_equivocate"}) {
             std::string ref;
             std::size_t ref_records = 0;
             for (unsigned threads : {1u, 8u}) {
-                auto d = make_proto(proto, threads);
-                scenario::Scenario sc = scenario_by_name(name, d->replica_ids());
-                ScenarioOutcome out = run_scenario(*d, sc, echo_ops(64), kHorizon);
+                ScenarioRow row = make_scenario_row(proto, kSeed, threads);
+                scenario::Scenario sc = scenario_by_name(name, row.targets);
+                ScenarioOutcome out = run_scenario(*row.d, sc, row.ops, kHorizon);
                 if (threads == 1) {
                     ref = out.to_string();
-                    ref_records = d->auditor().records();
+                    ref_records = row.d->auditor().records();
                 } else {
                     EXPECT_EQ(out.to_string(), ref) << proto << " threads=" << threads;
-                    EXPECT_EQ(d->auditor().records(), ref_records) << proto;
+                    EXPECT_EQ(row.d->auditor().records(), ref_records) << proto;
                 }
             }
         }
@@ -123,15 +97,9 @@ TEST(ScenarioDeterminism, FuzzCompositionsStableAcrossThreadCounts) {
     for (std::uint64_t seed : {3ull, 11ull}) {
         std::string ref;
         for (unsigned threads : {1u, 8u}) {
-            NeoParams p;
-            p.n_clients = 4;
-            p.seed = seed;
-            p.sim_threads = threads;
-            p.byz_sequencer = true;
-            p.checkpoint_interval = 128;
-            auto d = make_neobft(p);
-            scenario::Scenario sc = scenario::fuzz(seed, d->replica_ids(), kHorizon);
-            ScenarioOutcome out = run_scenario(*d, sc, echo_ops(64), kHorizon);
+            ScenarioRow row = make_scenario_row("neo_hm", seed, threads);
+            scenario::Scenario sc = scenario::fuzz(seed, row.targets, kHorizon);
+            ScenarioOutcome out = run_scenario(*row.d, sc, row.ops, kHorizon);
             EXPECT_TRUE(out.ok) << out.to_string();
             if (threads == 1) {
                 ref = out.to_string();
