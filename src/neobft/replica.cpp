@@ -665,14 +665,18 @@ void Replica::apply_gap_outcomes() {
     bool progressed = true;
     while (progressed) {
         progressed = false;
-        for (auto& [slot, round] : gaps_) {
+        for (auto& [s, round] : gaps_) {
             if (!round.resolved || round.applied) continue;
-            if (slot > log_.size() + 1) break;  // ordered map: nothing earlier left
+            if (s > log_.size() + 1) break;  // ordered map: nothing earlier left
 
+            // Applying the outcome can complete a sync whose GC erases this
+            // round: work from copies, and mark it applied by a new lookup.
+            const std::uint64_t slot = s;
             if (round.outcome_recv) {
                 if (!log_.has(slot)) {
                     if (round.outcome_oc.has_value()) {
-                        fill_slot_with_oc(slot, *round.outcome_oc);
+                        const aom::OrderingCert oc = *round.outcome_oc;
+                        fill_slot_with_oc(slot, oc);
                     } else {
                         // Committed as recv but we lack the certificate:
                         // fetch it from the leader; stay blocked meanwhile.
@@ -684,7 +688,7 @@ void Replica::apply_gap_outcomes() {
             } else {
                 commit_noop(slot, round.outcome_cert);
             }
-            round.applied = true;
+            if (auto it = gaps_.find(slot); it != gaps_.end()) it->second.applied = true;
             progressed = true;
             unblock(slot);
             break;  // map may have been mutated (unblock -> drain); restart
