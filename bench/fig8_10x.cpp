@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
                         {"executed_events", static_cast<double>(serial.executed)},
                         {"host_serial_ns", serial.host_ns},
                         {"host_parallel_ns", parallel.host_ns},
-                        {"speedup", serial.host_ns / std::max(1.0, parallel.host_ns)},
+                        {"host_speedup", serial.host_ns / std::max(1.0, parallel.host_ns)},
                     };
                 },
                 false,
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
                        fmt_double(r.mean("p50_us"), 1), fmt_double(r.mean("executed_events"), 0),
                        fmt_double(r.mean("host_serial_ns") / 1e6, 0),
                        fmt_double(r.mean("host_parallel_ns") / 1e6, 0),
-                       fmt_double(r.mean("speedup"), 2)});
+                       fmt_double(r.mean("host_speedup"), 2)});
         }
         std::printf("\n");
     }
