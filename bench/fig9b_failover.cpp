@@ -47,15 +47,17 @@ std::map<std::string, double> run_failover(RunCtx& ctx) {
         rngs->emplace_back(ctx.seed() + 1'000'003, static_cast<std::uint64_t>(c));
     }
 
+    // Held weakly by itself and strongly by in-flight callbacks (no cycle).
     auto issue = std::make_shared<std::function<void(int)>>();
-    *issue = [&d, issue, per_client, rngs](int c) {
+    std::weak_ptr<std::function<void(int)>> self = issue;
+    *issue = [&d, self, per_client, rngs](int c) {
         if (d->simulator().now() >= kEnd) return;
         d->invoke(c, (*rngs)[static_cast<std::size_t>(c)].bytes(64),
-                  [&d, issue, per_client, c](Bytes) {
+                  [&d, loop = self.lock(), per_client, c](Bytes) {
                       auto& row = (*per_client)[static_cast<std::size_t>(c)];
                       auto idx = static_cast<std::size_t>(d->simulator().now() / kBucket);
                       if (idx < row.size()) ++row[idx];
-                      (*issue)(c);
+                      (*loop)(c);
                   });
     };
     for (int c = 0; c < p.n_clients; ++c) (*issue)(c);

@@ -94,21 +94,26 @@ Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim:
     auto completed = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
     auto per_client_k = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
 
-    // One self-rescheduling closed loop per client.
+    // One self-rescheduling closed loop per client. The loop holds itself
+    // only weakly and each in-flight callback holds it strongly, so it is
+    // freed with the last callback rather than never.
     auto issue = std::make_shared<std::function<void(int)>>();
-    *issue = [&d, &ops, issue, hists, completed, per_client_k, measure_from, deadline](int c) {
+    std::weak_ptr<std::function<void(int)>> self = issue;
+    *issue = [&d, &ops, self, hists, completed, per_client_k, measure_from, deadline](int c) {
         sim::Simulator& s = d.simulator();
         if (s.now() >= deadline) return;
         std::uint64_t k = (*per_client_k)[static_cast<std::size_t>(c)]++;
         sim::Time begin = s.now();
-        d.invoke(c, ops(c, k), [&d, issue, hists, completed, measure_from, deadline, begin, c](Bytes) {
-            sim::Time end = d.simulator().now();
-            if (begin >= measure_from && end < deadline) {
-                (*hists)[static_cast<std::size_t>(c)].add(sim::to_us(end - begin));
-                ++(*completed)[static_cast<std::size_t>(c)];
-            }
-            (*issue)(c);
-        });
+        d.invoke(c, ops(c, k),
+                 [&d, loop = self.lock(), hists, completed, measure_from, deadline, begin,
+                  c](Bytes) {
+                     sim::Time end = d.simulator().now();
+                     if (begin >= measure_from && end < deadline) {
+                         (*hists)[static_cast<std::size_t>(c)].add(sim::to_us(end - begin));
+                         ++(*completed)[static_cast<std::size_t>(c)];
+                     }
+                     (*loop)(c);
+                 });
     };
     for (int c = 0; c < d.n_clients(); ++c) (*issue)(c);
 

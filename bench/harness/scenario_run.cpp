@@ -94,17 +94,20 @@ ScenarioOutcome run_scenario(Deployment& d, const scenario::Scenario& sc, const 
     scenario::apply(sc, adapter);
 
     // Closed loop, one chain per client. Per-client slots only (a done
-    // callback runs on that client's partition); merged after the run.
+    // callback runs on that client's partition); merged after the run. The
+    // loop holds itself weakly and in-flight callbacks hold it strongly, so
+    // it is freed with the last callback.
     const std::size_t nclients = static_cast<std::size_t>(d.n_clients());
     auto completed = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
     auto per_client_k = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
     auto issue = std::make_shared<std::function<void(int)>>();
-    *issue = [&d, &ops, issue, completed, per_client_k, deadline](int c) {
+    std::weak_ptr<std::function<void(int)>> self = issue;
+    *issue = [&d, &ops, self, completed, per_client_k, deadline](int c) {
         if (d.simulator().now() >= deadline) return;
         std::uint64_t k = (*per_client_k)[static_cast<std::size_t>(c)]++;
-        d.invoke(c, ops(c, k), [&d, issue, completed, deadline, c](Bytes) {
+        d.invoke(c, ops(c, k), [&d, loop = self.lock(), completed, deadline, c](Bytes) {
             if (d.simulator().now() < deadline) ++(*completed)[static_cast<std::size_t>(c)];
-            (*issue)(c);
+            (*loop)(c);
         });
     };
     for (int c = 0; c < d.n_clients(); ++c) (*issue)(c);

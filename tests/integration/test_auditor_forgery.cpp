@@ -46,11 +46,13 @@ std::unique_ptr<Deployment> build() {
 /// Issues a short closed-loop workload and runs the sim to quiescence.
 void drive(Deployment& d) {
     OpGen gen = echo_ops(64);
+    // Held weakly by itself and strongly by in-flight callbacks (no cycle).
     auto issue = std::make_shared<std::function<void(int, std::uint64_t)>>();
-    *issue = [&d, issue, gen](int client, std::uint64_t k) {
+    std::weak_ptr<std::function<void(int, std::uint64_t)>> self = issue;
+    *issue = [&d, self, gen](int client, std::uint64_t k) {
         if (k >= kRequestsPerClient) return;
         d.invoke(client, gen(client, k),
-                 [issue, client, k](Bytes) { (*issue)(client, k + 1); });
+                 [loop = self.lock(), client, k](Bytes) { (*loop)(client, k + 1); });
     };
     for (int c = 0; c < d.n_clients(); ++c) (*issue)(c, 0);
     d.simulator().run_until(10 * sim::kMillisecond);

@@ -48,11 +48,13 @@ ShardTxnWorkload workload(int shards, double cross_ratio) {
 /// (run_closed_loop would abort on an auditor violation, and the Byzantine
 /// scenarios exist to *observe* violations — so drive the sim directly).
 void drive(Deployment& d, const OpGen& gen) {
+    // Held weakly by itself and strongly by in-flight callbacks (no cycle).
     auto issue = std::make_shared<std::function<void(int, std::uint64_t)>>();
-    *issue = [&d, issue, &gen](int client, std::uint64_t k) {
+    std::weak_ptr<std::function<void(int, std::uint64_t)>> self = issue;
+    *issue = [&d, self, &gen](int client, std::uint64_t k) {
         if (k >= kTxnsPerClient) return;
         d.invoke(client, gen(client, k),
-                 [issue, client, k](Bytes) { (*issue)(client, k + 1); });
+                 [loop = self.lock(), client, k](Bytes) { (*loop)(client, k + 1); });
     };
     for (int c = 0; c < d.n_clients(); ++c) (*issue)(c, 0);
     d.simulator().run_until(100 * sim::kMillisecond);

@@ -32,16 +32,19 @@ app::YcsbConfig small_dataset(std::uint64_t records = 100, std::size_t field = 1
 
 void run_kv_stream(app::YcsbWorkload& workload, Client& client, int total,
                    std::vector<app::KvResult>& results) {
+    // The chain holds itself weakly and its in-flight callback strongly, so
+    // it is freed once the stream stops.
     auto issue = std::make_shared<std::function<void()>>();
+    std::weak_ptr<std::function<void()>> self = issue;
     auto remaining = std::make_shared<int>(total);
-    *issue = [&workload, &client, issue, remaining, &results]() {
+    *issue = [&workload, &client, self, remaining, &results]() {
         if ((*remaining)-- <= 0) return;
         app::KvOp op = workload.next_op();
-        client.invoke(op.serialize(), [issue, &results](Bytes res) {
+        client.invoke(op.serialize(), [loop = self.lock(), &results](Bytes res) {
             auto parsed = app::KvResult::parse(res);
             ASSERT_TRUE(parsed.has_value());
             results.push_back(*parsed);
-            (*issue)();
+            (*loop)();
         });
     };
     (*issue)();

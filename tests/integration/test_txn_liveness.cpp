@@ -58,10 +58,12 @@ ShardTxnWorkload workload() {
 }
 
 void drive_client(Deployment& d, const OpGen& gen, int client, int txns, sim::Time deadline) {
+    // Held weakly by itself and strongly by in-flight callbacks (no cycle).
     auto issue = std::make_shared<std::function<void(std::uint64_t)>>();
-    *issue = [&d, issue, &gen, client, txns](std::uint64_t k) {
+    std::weak_ptr<std::function<void(std::uint64_t)>> self = issue;
+    *issue = [&d, self, &gen, client, txns](std::uint64_t k) {
         if (k >= static_cast<std::uint64_t>(txns)) return;
-        d.invoke(client, gen(client, k), [issue, k](Bytes) { (*issue)(k + 1); });
+        d.invoke(client, gen(client, k), [loop = self.lock(), k](Bytes) { (*loop)(k + 1); });
     };
     (*issue)(0);
     d.simulator().run_until(deadline);
@@ -139,15 +141,16 @@ Deployment::TxnTotals run_contention(bool wait_die, std::uint64_t& min_client_co
 
     constexpr int kTxns = 12;
     auto issue = std::make_shared<std::function<void(int, std::uint64_t)>>();
+    std::weak_ptr<std::function<void(int, std::uint64_t)>> self = issue;
     auto committed = std::make_shared<std::vector<std::uint64_t>>(4, 0);
-    *issue = [&d, issue, &gen, committed](int c, std::uint64_t k) {
+    *issue = [&d, self, &gen, committed](int c, std::uint64_t k) {
         if (k >= kTxns) return;
-        d->invoke(c, gen(c, k), [issue, committed, c, k](Bytes reply) {
+        d->invoke(c, gen(c, k), [loop = self.lock(), committed, c, k](Bytes reply) {
             auto res = app::KvResult::parse(BytesView(reply.data(), reply.size()));
             if (res && res->status == app::KvStatus::kOk) {
                 ++(*committed)[static_cast<std::size_t>(c)];
             }
-            (*issue)(c, k + 1);
+            (*loop)(c, k + 1);
         });
     };
     for (int c = 0; c < 4; ++c) (*issue)(c, 0);
