@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <unordered_map>
 
 #include "common/assert.hpp"
@@ -280,7 +281,75 @@ void Simulator::ensure_workers() {
     }
 }
 
+namespace detail {
+
+// Window placement. A worker window pays a dispatch/park barrier of ~20 us
+// at 4 partitions on a 4-vCPU host (BM_WindowBarrier/4 with every window on
+// the workers), while the 5 us windows of the sharded YCSB workload hold
+// ~6 events: such windows run faster inline on the coordinator, and dense
+// ones (fig8_10x's 256-replica points) faster on the workers. run_window
+// times every window, and the mode is chosen per epoch from host ns per
+// executed event. (A per-window rule, "inline below 64 events",
+// flip-flopped and ran fig8_10x's Neo-HM n=64 2x slower.) The constants
+// were set on that host:
+// - The first windows after a mode switch cost up to several times a
+//   settled one (the threads wake, partition state moves between caches),
+//   so they are not measured, and an epoch is long enough to amortise them.
+// - Host interference only ever adds time, so a mode's estimate is the
+//   lower of its last two epochs: one disturbed epoch cannot flip the
+//   choice.
+// - Every kProbeEvery-th epoch runs the mode not in favour, so the choice
+//   follows load changes and every long multi-partition run keeps running
+//   worker windows. On the sharded YCSB workload, where a worker window
+//   costs ~3.5x an inline one, these probes cost ~20% over running every
+//   window inline.
+// With 32-window epochs, one probe in eight and single-epoch estimates,
+// fig8_10x --quick's Neo-PK n=256 point sometimes stuck to inline windows
+// (median host speedup 1.13, against 1.50 with every window on the
+// workers and 1.41 with these settings).
+constexpr unsigned kEpochWindows = 64;
+constexpr unsigned kWarmupWindows = 2;
+constexpr std::uint64_t kProbeEvery = 16;
+
+void WindowModeChooser::record(std::int64_t host_ns, std::uint64_t events) {
+    ++windows_[inline_];
+    if (epoch_windows_++ >= kWarmupWindows) {
+        epoch_ns_ += host_ns;
+        epoch_events_ += events;
+    }
+    if (epoch_windows_ < kEpochWindows) return;
+    // Every window executes at least the event that opened it.
+    const double measured = static_cast<double>(epoch_ns_) / static_cast<double>(epoch_events_);
+    estimate_[inline_] = std::min(measured, last_[inline_]);
+    last_[inline_] = measured;
+    epoch_windows_ = 0;
+    epoch_ns_ = 0;
+    epoch_events_ = 0;
+    ++epochs_;
+    if (estimate_[1] == kUnmeasured) {
+        inline_ = true;  // the second epoch measures the inline mode
+        return;
+    }
+    const bool favoured = estimate_[1] < estimate_[0];
+    inline_ = epochs_ % kProbeEvery == 0 ? !favoured : favoured;
+}
+
+}  // namespace detail
+
 void Simulator::run_window(Time wend, unsigned parity) {
+    const std::uint64_t before = executed_events();
+    const auto start = std::chrono::steady_clock::now();
+    if (chooser_.run_inline()) {
+        for (auto& p : parts_) window_work(*p, wend, parity);
+    } else {
+        run_on_workers(wend, parity);
+    }
+    const auto host = std::chrono::steady_clock::now() - start;
+    chooser_.record(std::chrono::duration_cast<std::chrono::nanoseconds>(host).count(),
+                    executed_events() - before);
+}
+
+void Simulator::run_on_workers(Time wend, unsigned parity) {
     {
         std::lock_guard<std::mutex> lk(mu_);
         window_end_ = wend;

@@ -24,6 +24,16 @@
 // path needs no atomics or locks. Packet buffers (sim/packet.hpp) are
 // refcounted with atomic counts and cross threads without copying.
 //
+// Each window runs in one of two places. A worker window runs every
+// partition on its own thread behind the dispatch/park barrier; an inline
+// window runs the same per-partition window function for every partition,
+// in index order, on the calling (coordinator) thread. Both see the same
+// mailboxes, parities and trace marks, so the choice never reaches
+// simulated results. The engine picks the cheaper mode per epoch of
+// windows from the host time per event it measured in each (see
+// WindowModeChooser), so windows holding a handful of events stop paying
+// a barrier that costs more than their work.
+//
 // Determinism is structural, not incidental: every event carries a key
 // (t, lane, seq) where `lane` is the id of the node that scheduled it
 // (kGlobalLane for setup/main-thread scheduling) and `seq` a per-lane
@@ -54,6 +64,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -134,6 +145,37 @@ struct ExecContext {
 };
 
 inline thread_local ExecContext* g_ctx = nullptr;
+
+/// Decides where the parallel engine runs its windows: on the worker
+/// threads (behind the barrier) or inline on the coordinator thread. The
+/// mode is fixed for an epoch of windows and chosen from the host time per
+/// executed event measured in each mode; a fixed schedule of probe epochs
+/// re-measures the mode not in favour. Host-side only.
+class WindowModeChooser {
+  public:
+    bool run_inline() const { return inline_; }
+
+    /// Accounts one window that ran in the current mode, taking
+    /// `host_ns` to execute `events` events; picks the next epoch's mode
+    /// when this one is complete.
+    void record(std::int64_t host_ns, std::uint64_t events);
+
+    std::uint64_t windows(bool inline_mode) const { return windows_[inline_mode]; }
+
+  private:
+    static constexpr double kUnmeasured = std::numeric_limits<double>::infinity();
+
+    bool inline_ = false;  // the first epoch runs on the workers
+    unsigned epoch_windows_ = 0;
+    std::int64_t epoch_ns_ = 0;
+    std::uint64_t epoch_events_ = 0;
+    std::uint64_t epochs_ = 0;
+    // Indexed [worker, inline]: host ns per event of each mode's last
+    // epoch, and its estimate (the lower of its last two epochs).
+    double last_[2] = {kUnmeasured, kUnmeasured};
+    double estimate_[2] = {kUnmeasured, kUnmeasured};
+    std::uint64_t windows_[2] = {0, 0};
+};
 
 }  // namespace detail
 
@@ -262,6 +304,12 @@ class Simulator {
     std::size_t pending_events() const;
     std::uint64_t executed_events() const;
 
+    /// Parallel windows run so far inline on the calling thread, and on
+    /// the worker threads. Host-side counters: which path ran depends on
+    /// measured host speed, never on simulation data.
+    std::uint64_t inline_windows() const { return chooser_.windows(true); }
+    std::uint64_t worker_windows() const { return chooser_.windows(false); }
+
   private:
     detail::ExecContext* own_ctx() const;
     detail::EventKey make_key(Time t, detail::ExecContext* c);
@@ -277,6 +325,7 @@ class Simulator {
     void merge_window_traces();
     void ensure_workers();
     void run_window(Time wend, unsigned parity);
+    void run_on_workers(Time wend, unsigned parity);
     void worker_main(unsigned index);
     void window_work(detail::Partition& p, Time wend, unsigned parity);
 
@@ -307,6 +356,7 @@ class Simulator {
     Time window_end_ = 0;
     unsigned window_parity_ = 0;  // outbox half the in-flight window writes
     unsigned carry_parity_ = 0;   // outbox half holding undelivered events
+    detail::WindowModeChooser chooser_;
 };
 
 }  // namespace neo::sim

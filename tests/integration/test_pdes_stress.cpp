@@ -84,8 +84,7 @@ struct Outcome {
     std::string trace;
     std::string metrics;
     std::uint64_t completed = 0;
-
-    friend bool operator==(const Outcome&, const Outcome&) = default;
+    std::uint64_t worker_windows = 0;  // host-side: which engine path ran
 };
 
 Outcome run_scenario(const Scenario& sc, unsigned threads) {
@@ -114,6 +113,7 @@ Outcome run_scenario(const Scenario& sc, unsigned threads) {
 
     Outcome out;
     out.completed = m.completed;
+    out.worker_windows = d->simulator().worker_windows();
     std::ostringstream ts;
     sink.write_jsonl(ts);
     out.trace = ts.str();
@@ -138,6 +138,9 @@ TEST_P(PdesStress, TraceAndMetricsIdenticalAcrossThreadCounts) {
         EXPECT_EQ(serial.metrics, parallel.metrics)
             << "proto=" << sc.proto << " threads=" << threads;
         EXPECT_EQ(serial.completed, parallel.completed);
+        // The comparison must cover the threaded path, not only windows
+        // the engine chose to run inline.
+        EXPECT_GT(parallel.worker_windows, 0u) << "threads=" << threads;
     }
 }
 

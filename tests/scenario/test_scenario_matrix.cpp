@@ -87,6 +87,7 @@ TEST(ScenarioDeterminism, OutcomeByteIdenticalAcrossThreadCounts) {
                 } else {
                     EXPECT_EQ(out.to_string(), ref) << proto << " threads=" << threads;
                     EXPECT_EQ(row.d->auditor().records(), ref_records) << proto;
+                    EXPECT_GT(row.d->simulator().worker_windows(), 0u) << proto;
                 }
             }
         }
@@ -105,6 +106,7 @@ TEST(ScenarioDeterminism, FuzzCompositionsStableAcrossThreadCounts) {
                 ref = out.to_string();
             } else {
                 EXPECT_EQ(out.to_string(), ref) << "fuzz seed " << seed;
+                EXPECT_GT(row.d->simulator().worker_windows(), 0u) << "fuzz seed " << seed;
             }
         }
     }

@@ -19,8 +19,9 @@
 namespace neo::sim {
 namespace {
 
-// Forwards a token around the ring until its hop budget runs out; folds
-// (arrival time, sender, payload) into a checksum only this node touches.
+// Forwards a token around the ring until its hop budget (bytes 0-1, little
+// endian) runs out; folds (arrival time, sender, payload) into a checksum
+// only this node touches.
 class RingNode : public Node {
   public:
     void configure(Network* net, NodeId next) {
@@ -34,9 +35,12 @@ class RingNode : public Node {
         checksum = checksum * 1099511628211ull + static_cast<std::uint64_t>(sim().now());
         checksum = checksum * 1099511628211ull + from;
         for (std::uint8_t b : data) checksum = checksum * 1099511628211ull + b;
-        if (data.empty() || data[0] == 0) return;
+        if (data.size() < 2) return;
+        const unsigned hops = data[0] | (data[1] << 8);
+        if (hops == 0) return;
         Bytes fwd(data.begin(), data.end());
-        fwd[0] -= 1;
+        fwd[0] = static_cast<std::uint8_t>((hops - 1) & 0xff);
+        fwd[1] = static_cast<std::uint8_t>((hops - 1) >> 8);
         net_->send(id(), next_, Packet{std::move(fwd)});
     }
 
@@ -51,6 +55,7 @@ class RingNode : public Node {
 struct Scenario {
     unsigned threads = 1;
     int ring = 7;  // deliberately not a multiple of the partition counts
+    unsigned hops = 200;  // per token
     double drop_rate = 0.0;
     bool tamper = false;
     Time latency = 2 * kMicrosecond;
@@ -72,7 +77,14 @@ struct Fingerprint {
     friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };
 
-Fingerprint run_ring(const Scenario& sc) {
+// Host-side: where the parallel engine ran its windows. Never part of a
+// Fingerprint, since it depends on measured host speed.
+struct WindowCounts {
+    std::uint64_t inline_windows = 0;
+    std::uint64_t worker_windows = 0;
+};
+
+Fingerprint run_ring(const Scenario& sc, WindowCounts* windows = nullptr) {
     Simulator sim(sc.threads);
     obs::TraceSink sink;
     sim.set_trace(&sink);
@@ -84,7 +96,7 @@ Fingerprint run_ring(const Scenario& sc) {
     net.set_global_drop_rate(sc.drop_rate);
     if (sc.tamper) {
         // Deterministic Byzantine hook: corrupt the tail byte of every
-        // fifth packet (never byte 0, which carries the hop budget).
+        // fifth packet (never bytes 0-1, which carry the hop budget).
         net.set_tamper([](NodeId from, NodeId to, Bytes& data) {
             if ((from + to + data.size()) % 5 == 0 && data.size() > 1) {
                 data.back() ^= 0x5a;
@@ -101,12 +113,13 @@ Fingerprint run_ring(const Scenario& sc) {
         nodes[static_cast<std::size_t>(i)].configure(&net,
                                                      static_cast<NodeId>((i + 1) % sc.ring));
     }
-    // Several concurrent tokens per node: byte 0 is the hop budget, the rest
-    // is ballast the tamper hook can chew on.
+    // Several concurrent tokens per node: bytes 0-1 are the hop budget, the
+    // rest is ballast the tamper hook can chew on.
     for (int i = 0; i < sc.ring; ++i) {
         for (int k = 0; k < 4; ++k) {
             Bytes token(16, static_cast<std::uint8_t>(i * 16 + k));
-            token[0] = 200;
+            token[0] = static_cast<std::uint8_t>(sc.hops & 0xff);
+            token[1] = static_cast<std::uint8_t>(sc.hops >> 8);
             net.send(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % sc.ring),
                      Packet{std::move(token)});
         }
@@ -126,6 +139,7 @@ Fingerprint run_ring(const Scenario& sc) {
     fp.packets_delivered = net.packets_delivered();
     fp.packets_dropped = net.packets_dropped();
     fp.executed = sim.executed_events();
+    if (windows != nullptr) *windows = {sim.inline_windows(), sim.worker_windows()};
     std::ostringstream os;
     sink.write_jsonl(os);
     fp.trace = os.str();
@@ -167,6 +181,39 @@ TEST(PdesEngine, IncrementalRunUntilMatchesOneShot) {
     Fingerprint oneshot = run_ring(sc);
     sc.step = 777 * kMicrosecond;  // not window-aligned
     EXPECT_EQ(oneshot, run_ring(sc));
+    sc.threads = 1;
+    EXPECT_EQ(oneshot, run_ring(sc));
+}
+
+TEST(PdesEngine, LongRunUsesBothWindowModesAndMatchesSerial) {
+    // Thousands of windows: the engine measures both window modes and keeps
+    // re-probing the one not in favour, so a long multi-partition run
+    // executes inline and worker windows whatever the host's speed.
+    Scenario sc = base();
+    sc.hops = 4000;
+    WindowCounts windows;
+    Fingerprint serial = run_ring(sc, &windows);
+    EXPECT_EQ(windows.inline_windows + windows.worker_windows, 0u);
+    sc.threads = 4;
+    EXPECT_EQ(serial, run_ring(sc, &windows));
+    EXPECT_GT(windows.inline_windows, 0u);
+    EXPECT_GT(windows.worker_windows, 0u);
+}
+
+TEST(PdesEngine, SlicedRunUntilAcrossModeSwitchesMatchesOneShot) {
+    // Odd slices end windows early and park events in the carry-parity
+    // mailboxes between run_until calls, while the window mode keeps
+    // switching between epochs: the result must match a one-shot run.
+    Scenario sc = base();
+    sc.hops = 4000;
+    sc.tamper = true;
+    sc.threads = 4;
+    Fingerprint oneshot = run_ring(sc);
+    sc.step = 333 * kMicrosecond;
+    WindowCounts windows;
+    EXPECT_EQ(oneshot, run_ring(sc, &windows));
+    EXPECT_GT(windows.inline_windows, 0u);
+    EXPECT_GT(windows.worker_windows, 0u);
     sc.threads = 1;
     EXPECT_EQ(oneshot, run_ring(sc));
 }
