@@ -62,12 +62,16 @@ void BM_HalfSipHash(benchmark::State& state) {
 BENCHMARK(BM_HalfSipHash);
 
 void BM_EcdsaSign(benchmark::State& state) {
+    // Cycles over 16 digests, as BM_EcdsaVerify does: alternating two lets
+    // the branch predictor learn both nonce walks and reads 3-13% fast.
     Rng rng(9);
     EcdsaPrivateKey priv = EcdsaPrivateKey::from_seed(rng.bytes(32));
-    Digest32 h = sha256("benchmark message");
+    std::vector<Digest32> hs;
+    for (int i = 0; i < 16; ++i) hs.push_back(sha256("benchmark message " + std::to_string(i)));
+    std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(ecdsa_sign(priv, h));
-        h[0] ^= 1;  // vary the message
+        benchmark::DoNotOptimize(ecdsa_sign(priv, hs[i]));
+        i = (i + 1) % hs.size();
     }
 }
 BENCHMARK(BM_EcdsaSign);
@@ -102,6 +106,32 @@ void BM_GeneratorMul(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_GeneratorMul);
+
+// The two inversions of a signature: the field inverse in to_affine (the
+// nonce point R) and the scalar inverse k^-1. Both cycle over 16 values.
+void BM_FieldInverse(benchmark::State& state) {
+    Rng rng(15);
+    std::vector<Fe> xs;
+    for (int i = 0; i < 16; ++i) xs.push_back(Fe::from_u256(U256::from_be_bytes(rng.bytes(32))));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(xs[i].inverse());
+        i = (i + 1) % xs.size();
+    }
+}
+BENCHMARK(BM_FieldInverse);
+
+void BM_ScalarInverse(benchmark::State& state) {
+    Rng rng(17);
+    std::vector<Scalar> xs;
+    for (int i = 0; i < 16; ++i) xs.push_back(Scalar::from_be_bytes_reduce(rng.bytes(32)));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(xs[i].inverse());
+        i = (i + 1) % xs.size();
+    }
+}
+BENCHMARK(BM_ScalarInverse);
 
 // Batch verification with shared precomputation; range(0) = batch size.
 // Per-item time should drop well below BM_EcdsaVerify as the per-batch
