@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
@@ -124,6 +125,59 @@ TEST(Ecdsa, ManyKeysRoundTrip) {
 TEST(Ecdsa, PrivateKeyFromSeedNeverZero) {
     EcdsaPrivateKey k = EcdsaPrivateKey::from_seed(Bytes(32, 0));
     EXPECT_FALSE(k.d.is_zero());
+}
+
+// Pins the exact bytes of derived public keys and signatures. Round-trip
+// tests cannot see a change of nonce derivation or arithmetic that still
+// yields a valid signature; this one can. The values were produced by the
+// implementation at commit 2dffb6a (Fermat inverses, fully reduced field).
+TEST(Ecdsa, PinnedKeyAndSignatureBytes) {
+    struct Case {
+        const char* seed;
+        const char* digest;
+        const char* pub;
+        const char* sig;
+    };
+    const Case cases[] = {
+        // All-zero seed: from_seed maps it to d = 1, so the public key is G.
+        {"0000000000000000000000000000000000000000000000000000000000000000",
+         "7f4a491a13ff7c5e4abfcc9a4af067417ec8b25f6b039ffa979d0983c60d004f",
+         "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
+         "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8",
+         "c7b4d4bdbd1a1a681422aed0979687cd1a2d18a9481e347c7696866064f5058d"
+         "a6e59ca117d6de82318b6dc7e3fcd53da759d78c75105e5e9985b03f3bfd8937"},
+        // Seed and digest above n: both are reduced mod n.
+        {"ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+         "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+         "9166c289b9f905e55f9e3df9f69d7f356b4a22095f894f4715714aa4b56606af"
+         "f181eb966be4acb5cff9e16b66d809be94e214f06c93fd091099af98499255e7",
+         "490d2b2d1bec2f5afe506c145e73714795b6055cef3b3a4ddebac2d2ac41bdef"
+         "991d2f17762bde6009844441b13f7deae1eb7f7f0e9f530c101db52c32ed0754"},
+        {"890201f2579c637d9ce3dbaf91184182f2e47b077a66a53039d436152afec494",
+         "43364b095a1f40aef6ab67614fb129d66f1b03f0673fe8d83d7b38514edd1aa5",
+         "a0e5f03c95796b1b5fce40149f9eff19f811c799c15859923c3b27769a5ac6ef"
+         "49dbce264f192cba9e4bb87a06d00d29239b8480916f83efc2b0e503e18fd39b",
+         "f78f1ba0de618703ed15281892f9ddd8a77126b22b160a48aa18737522c21d39"
+         "253d026712fa6e2e3f34f4eca573f4f7fa5e89a2d2e6c4ad96c1686e38a2ffb2"},
+        // All-zero digest: z = 0.
+        {"7fd4c11a65fa20cd3da4ce7ed6d3fa55578c9e37f4268855c61a377201ca7fbe",
+         "0000000000000000000000000000000000000000000000000000000000000000",
+         "c7674703313518a49366d602b0622386ad579916d172ea091bea509793f16a24"
+         "9557fdcc13189ec065557c336b2ccdd60dad690e18bc2d7732aa6c29b767f834",
+         "df0b8b1dc660e89e2c047fd517e13c9b6d8d4bf5a6ada87cf78398c1b0a13cbd"
+         "3b620659de890826aed9a6d506d7b7a6caafd5da1cdc5a56772226e12cc7faa9"},
+    };
+    for (const Case& c : cases) {
+        EcdsaPrivateKey priv = EcdsaPrivateKey::from_seed(from_hex_strict(c.seed));
+        EcdsaPublicKey pub = ecdsa_derive_public(priv);
+        Bytes digest = from_hex_strict(c.digest);
+        Digest32 h;
+        std::copy(digest.begin(), digest.end(), h.begin());
+        EcdsaSignature sig = ecdsa_sign(priv, h);
+        EXPECT_EQ(to_hex(pub.serialize()), c.pub) << c.seed;
+        EXPECT_EQ(to_hex(sig.serialize()), c.sig) << c.seed;
+        EXPECT_TRUE(ecdsa_verify(pub, h, sig)) << c.seed;
+    }
 }
 
 class EcdsaSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
