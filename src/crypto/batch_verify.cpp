@@ -11,7 +11,7 @@ namespace {
 // Recursive range descent over the per-item residual verdicts. A range
 // whose items all passed is accepted as-is; a failing range is split until
 // the failing singletons are isolated, and each of those is re-verified
-// with the independent one-shot path (Byzantine safety: the two
+// through the generic double_mul (Byzantine safety: the two
 // implementations must agree).
 void bisect(const std::vector<BatchVerifyItem>& items, const std::vector<const QTable*>& tables,
             std::vector<bool>& verdicts, std::size_t lo, std::size_t hi,
@@ -29,8 +29,9 @@ void bisect(const std::vector<BatchVerifyItem>& items, const std::vector<const Q
             return;
         }
         if (stats) stats->leaf_rechecks++;
-        // Independent recomputation: constant-time scalar inversion and the
-        // affine x-comparison, none of the batch's shared state.
+        // Independent recomputation: the fixed-time scalar inverse, the
+        // generic double_mul (no QTable, no GLV split) and the affine
+        // x-comparison, none of the batch's shared state.
         Scalar z = Scalar::from_be_bytes_reduce(
             BytesView(item.digest.data(), item.digest.size()));
         Scalar w = item.sig.s.inverse();
@@ -41,7 +42,7 @@ void bisect(const std::vector<BatchVerifyItem>& items, const std::vector<const Q
             ok = Scalar::from_be_bytes_reduce(BytesView(px.data(), px.size())) == item.sig.r;
         }
         NEO_ASSERT_MSG(ok == verdicts[lo],
-                       "batch-verify residual disagrees with one-shot ecdsa_verify");
+                       "batch-verify residual disagrees with the generic double_mul recheck");
         verdicts[lo] = ok;
         return;
     }

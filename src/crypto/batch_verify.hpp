@@ -22,13 +22,17 @@
 // signature can be pinpointed, not just detected.
 //
 // Byzantine safety: on any failure the verifier bisects the batch, and
-// every failing SINGLETON is re-verified independently with the plain
-// one-shot ecdsa_verify (separate inversion path, separate point
-// arithmetic). The two verdicts must agree — asserted — so a bug in the
-// shared-precomputation path can never let a forged signature through
-// quietly, and an attacker who slips one bad signature into a batch only
-// costs the verifier O(log n) extra range checks plus one recheck per bad
-// item (tested under the Byzantine tamper hook).
+// every failing SINGLETON is re-verified independently: Scalar::inverse
+// instead of the batch inversion, and the generic double_mul (plain
+// double-and-add, no QTable, no GLV split) with an affine x-comparison
+// instead of the table path. Note that ecdsa_verify itself is NOT
+// independent of the batch path: it builds a QTable and runs
+// double_mul_check_r just as the batch does. The two verdicts must agree —
+// asserted — so a bug in the shared-precomputation path can never let a
+// forged signature through quietly, and an attacker who slips one bad
+// signature into a batch only costs the verifier O(log n) extra range
+// checks plus one recheck per bad item (tested under the Byzantine tamper
+// hook).
 //
 // Host-time only: callers charge virtual CostMeter time per item exactly
 // as for one-at-a-time verification, so simulated results are

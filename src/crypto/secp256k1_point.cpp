@@ -1,7 +1,7 @@
 // secp256k1 group arithmetic: Jacobian point operations, the generator
 // precompute table (mirroring the paper's FPGA coprocessor design, §4.4),
 // and scalar multiplication.
-#include <mutex>
+#include <algorithm>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -12,14 +12,18 @@ namespace neo::crypto {
 
 namespace {
 
-// Jacobian coordinates (X, Y, Z): affine = (X/Z², Y/Z³); Z == 0 is identity.
+// Jacobian coordinates (X, Y, Z): affine = (X/Z², Y/Z³). The identity is a
+// flag rather than Z == 0, which would cost a normalisation per step. Z of
+// any other point is never zero: doubling multiplies it by 2Y, and no point
+// of a group of odd prime order has Y == 0 (that would be a point of order
+// 2); addition multiplies it by H, and H == 0 is handled separately.
 struct Jac {
     Fe x;
     Fe y;
-    Fe z;  // zero => infinity
+    Fe z;
+    bool infinity = false;
 
-    bool infinity() const { return z.is_zero(); }
-    static Jac identity() { return Jac{Fe::zero(), Fe::one(), Fe::zero()}; }
+    static Jac identity() { return Jac{Fe::zero(), Fe::one(), Fe::zero(), true}; }
 };
 
 Jac to_jac(const AffinePoint& p) {
@@ -27,31 +31,24 @@ Jac to_jac(const AffinePoint& p) {
     return Jac{p.x, p.y, Fe::one()};
 }
 
-// dbl-2007-bl for a = 0.
+// dbl-2009-l for a = 0.
 Jac jac_double(const Jac& p) {
-    if (p.infinity() || p.y.is_zero()) return Jac::identity();
+    if (p.infinity) return p;
     Fe a = p.x.sqr();
     Fe b = p.y.sqr();
     Fe c = b.sqr();
-    Fe xb = p.x.add(b);
-    Fe d = xb.sqr().sub(a).sub(c);
-    d = d.add(d);  // 2*((x+b)^2 - a - c)
-    Fe e = a.add(a).add(a);
-    Fe f = e.sqr();
-    Fe x3 = f.sub(d).sub(d);
-    Fe c8 = c.add(c);
-    c8 = c8.add(c8);
-    c8 = c8.add(c8);
-    Fe y3 = e.mul(d.sub(x3)).sub(c8);
-    Fe z3 = p.y.mul(p.z);
-    z3 = z3.add(z3);
+    Fe d = p.x.add(b).sqr().sub(a).sub(c);  // D/2
+    Fe e = a.mul_int(3);
+    Fe x3 = e.sqr().sub(d.mul_int(4));
+    Fe y3 = e.mul(d.mul_int(2).sub(x3)).sub(c.mul_int(8));
+    Fe z3 = p.y.mul(p.z).mul_int(2);
     return Jac{x3, y3, z3};
 }
 
 // Textbook general Jacobian addition.
 Jac jac_add(const Jac& p, const Jac& q) {
-    if (p.infinity()) return q;
-    if (q.infinity()) return p;
+    if (p.infinity) return q;
+    if (q.infinity) return p;
 
     Fe z1z1 = p.z.sqr();
     Fe z2z2 = q.z.sqr();
@@ -59,14 +56,14 @@ Jac jac_add(const Jac& p, const Jac& q) {
     Fe u2 = q.x.mul(z1z1);
     Fe s1 = p.y.mul(q.z).mul(z2z2);
     Fe s2 = q.y.mul(p.z).mul(z1z1);
+    Fe h = u2.sub(u1);
+    Fe r = s2.sub(s1);
 
-    if (u1 == u2) {
-        if (s1 == s2) return jac_double(p);
+    if (h.is_zero()) {
+        if (r.is_zero()) return jac_double(p);
         return Jac::identity();  // P + (-P)
     }
 
-    Fe h = u2.sub(u1);
-    Fe r = s2.sub(s1);
     Fe h2 = h.sqr();
     Fe h3 = h.mul(h2);
     Fe u1h2 = u1.mul(h2);
@@ -79,19 +76,19 @@ Jac jac_add(const Jac& p, const Jac& q) {
 // Mixed addition with an affine point (Z2 = 1) — the table fast path.
 Jac jac_add_affine(const Jac& p, const AffinePoint& q) {
     if (q.infinity) return p;
-    if (p.infinity()) return to_jac(q);
+    if (p.infinity) return to_jac(q);
 
     Fe z1z1 = p.z.sqr();
     Fe u2 = q.x.mul(z1z1);
     Fe s2 = q.y.mul(p.z).mul(z1z1);
+    Fe h = u2.sub(p.x);
+    Fe r = s2.sub(p.y);
 
-    if (p.x == u2) {
-        if (p.y == s2) return jac_double(p);
+    if (h.is_zero()) {
+        if (r.is_zero()) return jac_double(p);
         return Jac::identity();
     }
 
-    Fe h = u2.sub(p.x);
-    Fe r = s2.sub(p.y);
     Fe h2 = h.sqr();
     Fe h3 = h.mul(h2);
     Fe u1h2 = p.x.mul(h2);
@@ -102,7 +99,7 @@ Jac jac_add_affine(const Jac& p, const AffinePoint& q) {
 }
 
 AffinePoint to_affine(const Jac& p) {
-    if (p.infinity()) return AffinePoint{};
+    if (p.infinity) return AffinePoint{};
     Fe zinv = p.z.inverse();
     Fe zinv2 = zinv.sqr();
     AffinePoint out;
@@ -116,7 +113,7 @@ AffinePoint to_affine(const Jac& p) {
 // w in [0, 32), d in [1, 256). A scalar multiplication of G is then the sum
 // of at most 32 table entries — additions only, no doublings. This is the
 // software twin of the FPGA "pre-computed stock" of generator multiples
-// (8-bit windows, ~590 KB: half the additions of the earlier 4-bit comb for
+// (8-bit windows, ~720 KB: half the additions of the earlier 4-bit comb for
 // a table that still fits comfortably in memory).
 struct GenTable {
     AffinePoint entries[32][255];
@@ -178,7 +175,7 @@ Jac point_mul_jac(const AffinePoint& p, const Scalar& k) {
 
 // Width-5 wNAF recoding: digits are 0 or odd in [-15, 15]; at most one
 // nonzero digit in any 5 consecutive positions (average density 1/6).
-// Returns the digit count (<= 257).
+// Returns the digit count (<= 257; <= 129 for a GLV half below 2^128).
 int wnaf5(const Scalar& s, std::int8_t digits[257]) {
     // 5 limbs: the "k -= d" step with d < 0 adds up to 15, which can carry
     // past 2^256 for scalars near the top of the range.
@@ -215,6 +212,19 @@ int wnaf5(const Scalar& s, std::int8_t digits[257]) {
 AffinePoint affine_negate(const AffinePoint& p) {
     if (p.infinity) return p;
     return AffinePoint{p.x, p.y.negate(), false};
+}
+
+// GLV split constants (GLV §4). The lattice {(a, b) : a + b·λ ≡ 0 mod n}
+// has the short basis (a1, b1), (a2, b2) with a1 = b2 and a2 = a1 - b1;
+// g1 = round(2^384·b2 / n) and g2 = round(2^384·(-b1) / n).
+// Glv.SplitRecombinesWithHalvesBelow2To128 checks the split they yield.
+constexpr U256 kGlvG1{{0xE893209A45DBB031ull, 0x3DAA8A1471E8CA7Full,
+                       0xE86C90E49284EB15ull, 0x3086D221A7D46BCDull}};
+constexpr U256 kGlvG2{{0x1571B4AE8AC47F71ull, 0x221208AC9DF506C6ull,
+                       0x6F547FA90ABFE4C4ull, 0xE4437ED6010E8828ull}};
+
+Scalar scalar_from_hex(const char* hex) {
+    return *Scalar::from_be_bytes_checked(from_hex_strict(hex));
 }
 
 }  // namespace
@@ -278,9 +288,47 @@ AffinePoint double_mul(const Scalar& u1, const AffinePoint& q, const Scalar& u2)
 
 // ----------------------------------------------------------------- QTable
 
+const Fe& QTable::beta() {
+    static const Fe b = *Fe::from_be_bytes_checked(
+        from_hex_strict("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee"));
+    return b;
+}
+
+const Scalar& QTable::lambda() {
+    static const Scalar l =
+        scalar_from_hex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+    return l;
+}
+
+QTable::Split QTable::split(const Scalar& u) {
+    // Babai rounding (GLV §4): c_i = round(u·g_i / 2^384) ≈ u·b_i / n, then
+    // (k1, k2) = (u, 0) - c1·(a1, b1) - c2·(a2, b2), a short lattice offset
+    // of (u, 0). Only k2 is formed from the basis; k1 = u - k2·λ.
+    static const Scalar minus_b1 =
+        scalar_from_hex("00000000000000000000000000000000e4437ed6010e88286f547fa90abfe4c3");
+    static const Scalar minus_b2 =
+        scalar_from_hex("fffffffffffffffffffffffffffffffe8a280ac50774346dd765cda83db1562c");
+    static const Scalar minus_lambda = lambda().negate();
+    Scalar c1 = Scalar::from_u256_reduce(u256_mul_shift384(u.raw(), kGlvG1));
+    Scalar c2 = Scalar::from_u256_reduce(u256_mul_shift384(u.raw(), kGlvG2));
+    Split out;
+    out.k2 = c1.mul(minus_b1).add(c2.mul(minus_b2));
+    out.k1 = out.k2.mul(minus_lambda).add(u);
+    // Each half is within 2^128 of zero, on one side or the other.
+    auto fold = [](Scalar& k, bool& neg) {
+        neg = (k.raw().v[2] | k.raw().v[3]) != 0;
+        if (neg) k = k.negate();
+        NEO_ASSERT_MSG((k.raw().v[2] | k.raw().v[3]) == 0, "GLV half above 2^128");
+    };
+    fold(out.k1, out.neg1);
+    fold(out.k2, out.neg2);
+    return out;
+}
+
 QTable::QTable(const AffinePoint& q) : base_(q) {
     if (q.infinity) {
         for (auto& e : odd_) e = AffinePoint{};  // all identity; adds skip
+        odd_lambda_ = odd_;
         return;
     }
     // odd_[i] = (2i+1)·Q via repeated addition of 2Q, then one batch
@@ -299,28 +347,38 @@ QTable::QTable(const AffinePoint& q) : base_(q) {
         odd_[i].x = jacs[i].x.mul(zinv2);
         odd_[i].y = jacs[i].y.mul(zinv2).mul(zs[i]);
         odd_[i].infinity = false;
+        odd_lambda_[i] = AffinePoint{odd_[i].x.mul(beta()), odd_[i].y, false};
     }
 }
 
 namespace {
 
+// acc + d·P for a wNAF digit d (odd multiples of P in `odd`), with the
+// sign of d flipped when `neg` is set.
+Jac add_digit(const Jac& acc, const std::array<AffinePoint, 8>& odd, std::int8_t d, bool neg) {
+    if (d == 0) return acc;
+    const AffinePoint& m = odd[static_cast<std::size_t>(((d > 0 ? d : -d) - 1) / 2)];
+    return jac_add_affine(acc, ((d < 0) != neg) ? affine_negate(m) : m);
+}
+
 // Shared accumulation for QTable's two entry points: u1·G + u2·Q in
-// Jacobian coordinates, Q-side via wNAF-5 over the precomputed odd
-// multiples, G-side via the window comb (additions only, appended after the
-// doubling loop so doublings are paid once for the 256-bit length).
-Jac qtable_double_mul_jac(const std::array<AffinePoint, 8>& odd, const Scalar& u1,
+// Jacobian coordinates. u2 = ±k1 ± k2·λ, so u2·Q = ±k1·Q ± k2·(λQ): one
+// joint wNAF-5 loop over the two ~128-bit halves pays ~128 doublings for
+// both. The G side goes through the window comb (additions only, appended
+// after the doubling loop).
+Jac qtable_double_mul_jac(const std::array<AffinePoint, 8>& odd,
+                          const std::array<AffinePoint, 8>& odd_lambda, const Scalar& u1,
                           const Scalar& u2) {
-    std::int8_t digits[257];
-    int len = wnaf5(u2, digits);
+    QTable::Split s = QTable::split(u2);
+    std::int8_t d1[257];
+    std::int8_t d2[257];
+    int len1 = wnaf5(s.k1, d1);
+    int len2 = wnaf5(s.k2, d2);
     Jac acc = Jac::identity();
-    for (int i = len - 1; i >= 0; --i) {
+    for (int i = std::max(len1, len2) - 1; i >= 0; --i) {
         acc = jac_double(acc);
-        std::int8_t d = digits[i];
-        if (d > 0) {
-            acc = jac_add_affine(acc, odd[static_cast<std::size_t>((d - 1) / 2)]);
-        } else if (d < 0) {
-            acc = jac_add_affine(acc, affine_negate(odd[static_cast<std::size_t>((-d - 1) / 2)]));
-        }
+        if (i < len1) acc = add_digit(acc, odd, d1[i], s.neg1);
+        if (i < len2) acc = add_digit(acc, odd_lambda, d2[i], s.neg2);
     }
     return jac_add(acc, gen_mul_jac(u1));
 }
@@ -328,12 +386,12 @@ Jac qtable_double_mul_jac(const std::array<AffinePoint, 8>& odd, const Scalar& u
 }  // namespace
 
 AffinePoint QTable::double_mul(const Scalar& u1, const Scalar& u2) const {
-    return to_affine(qtable_double_mul_jac(odd_, u1, u2));
+    return to_affine(qtable_double_mul_jac(odd_, odd_lambda_, u1, u2));
 }
 
 bool QTable::double_mul_check_r(const Scalar& u1, const Scalar& u2, const Scalar& r) const {
-    Jac p = qtable_double_mul_jac(odd_, u1, u2);
-    if (p.infinity()) return false;
+    Jac p = qtable_double_mul_jac(odd_, odd_lambda_, u1, u2);
+    if (p.infinity) return false;
     // x(P) mod n == r  ⟺  x(P) == r̃ for r̃ in {r, r+n if r+n < p}
     // (x < p < 2n, so at most one wrap). Projectively, x(P) == r̃ is
     // X == r̃·Z² — no field inversion needed.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 
@@ -15,6 +20,45 @@ Fe fe_from_hex(std::string_view h) {
 }
 
 U256 u256_from_hex(std::string_view h) { return U256::from_be_bytes(from_hex_strict(h)); }
+
+std::string hex32(const Digest32& d) { return to_hex(BytesView(d.data(), d.size())); }
+
+const U256 kP = field_prime_u256();
+const U256 kN = scalar_order_u256();
+
+U256 minus(U256 x, std::uint64_t k) {
+    x.v[0] -= k;  // the low limbs of p and n exceed every k used here
+    return x;
+}
+
+U256 pow2(int bit) {
+    U256 x;
+    x.v[static_cast<std::size_t>(bit / 64)] = std::uint64_t{1} << (bit % 64);
+    return x;
+}
+
+// x^e by square-and-multiply (Fe or Scalar).
+template <class T>
+T pow_u256(const T& x, const U256& e) {
+    T r = T::one();
+    for (int i = 255; i >= 0; --i) {
+        r = r.sqr();
+        if (e.bit(i)) r = r.mul(x);
+    }
+    return r;
+}
+
+// x / 3 for x divisible by 3 (long division over the limbs).
+U256 div3(U256 x) {
+    unsigned __int128 rem = 0;
+    for (int i = 3; i >= 0; --i) {
+        unsigned __int128 cur = (rem << 64) | x.v[static_cast<std::size_t>(i)];
+        x.v[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(cur / 3);
+        rem = cur % 3;
+    }
+    EXPECT_EQ(rem, 0u);
+    return x;
+}
 
 // ---------- U256 ----------
 
@@ -161,6 +205,60 @@ TEST(Field, BatchInverseMatchesIndividual) {
     }
 }
 
+// Results that land on p or 0 (or, stored weakly, in [p, 2^256)) must read
+// back canonical through every observer.
+TEST(Field, EdgeResultsReadCanonical) {
+    Fe pm1 = Fe::from_u256(minus(kP, 1));
+    Fe x = fe_from_hex("00000000000000000000000000000000000000000000000000000000deadbeef");
+    U256 all_ones;
+    all_ones.v = {~0ull, ~0ull, ~0ull, ~0ull};
+    struct Case {
+        const char* name;
+        Fe value;
+        U256 expect;
+    };
+    const Case cases[] = {
+        {"(p-1)+1", pm1.add(Fe::one()), U256{}},
+        {"x-x", x.sub(x), U256{}},
+        {"(p-1)-(p-1)", pm1.sub(pm1), U256{}},
+        {"0*x", Fe::zero().mul(x), U256{}},
+        {"(p-1)^2", pm1.sqr(), U256{{1, 0, 0, 0}}},
+        {"(p-1)*(p-1)", pm1.mul(pm1), U256{{1, 0, 0, 0}}},
+        {"(p-1)+(p-1)", pm1.add(pm1), minus(kP, 2)},
+        {"-(p-1)", pm1.negate(), U256{{1, 0, 0, 0}}},
+        {"from_u256(2^256-1)", Fe::from_u256(all_ones), U256{{0x1000003D0ull, 0, 0, 0}}},
+        {"from_u256(p)", Fe::from_u256(kP), U256{}},
+        // Carries ripple into bit 256: the stored value is 2^256 + C - 1.
+        {"(2^256-1)-(p-1)", Fe::from_u256(all_ones).sub(pm1), U256{{0x1000003D1ull, 0, 0, 0}}},
+        {"(p-1)+(2^256-1)+(2^256-1)", pm1.add(Fe::from_u256(all_ones)).add(Fe::from_u256(all_ones)),
+         U256{{0x20000079Full, 0, 0, 0}}},
+    };
+    for (const Case& c : cases) {
+        Fe canonical = Fe::from_u256(c.expect);
+        EXPECT_EQ(c.value.raw(), c.expect) << c.name;
+        EXPECT_EQ(c.value.to_be_bytes(), c.expect.to_be_bytes()) << c.name;
+        EXPECT_EQ(c.value.is_zero(), c.expect.is_zero()) << c.name;
+        EXPECT_EQ(c.value, canonical) << c.name;
+        EXPECT_EQ(c.value.add(Fe::one()).sub(Fe::one()), canonical) << c.name;
+    }
+}
+
+// The inverses equal the values the Fermat ladder and the binary GCD
+// produced before the addition chains replaced the ladder.
+TEST(Field, InversePinnedValues) {
+    const std::pair<U256, const char*> cases[] = {
+        {U256{{1, 0, 0, 0}}, "0000000000000000000000000000000000000000000000000000000000000001"},
+        {U256{{2, 0, 0, 0}}, "7fffffffffffffffffffffffffffffffffffffffffffffffffffffff7ffffe18"},
+        {minus(kP, 1), "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2e"},
+        {pow2(255), "937a320a2aa70733388d85852be56ec3796447fdb84940b3b070123b10d03625"},
+    };
+    for (const auto& [x, expect] : cases) {
+        Fe f = Fe::from_u256(x);
+        EXPECT_EQ(hex32(f.inverse().to_be_bytes()), expect);
+        EXPECT_EQ(hex32(f.inverse_vartime().to_be_bytes()), expect);
+    }
+}
+
 // ---------- Scalar ----------
 
 TEST(Scalar, AddWrapsModN) {
@@ -208,6 +306,52 @@ TEST(Scalar, ReduceHandlesMaxValue) {
     Scalar expect = *Scalar::from_be_bytes_checked(
         from_hex_strict("000000000000000000000000000000014551231950b75fc4402da1732fc9bebe"));
     EXPECT_EQ(s, expect);
+}
+
+TEST(Scalar, WideReductionEdgeCases) {
+    Scalar nm1 = Scalar::from_u256_reduce(minus(kN, 1));
+    EXPECT_EQ(nm1.mul(nm1), Scalar::one());  // (-1)^2
+    EXPECT_EQ(nm1.sqr(), Scalar::one());
+    std::array<std::uint64_t, 8> all_ones;
+    all_ones.fill(~0ull);
+    EXPECT_EQ(hex32(Scalar::from_u512_reduce(all_ones).to_be_bytes()),
+              "9d671cd581c69bc5e697f5e45bcd07c6741496c20e7cf878896cf21467d7d13f");
+    std::array<std::uint64_t, 8> two_256 = {0, 0, 0, 0, 1, 0, 0, 0};
+    EXPECT_EQ(hex32(Scalar::from_u512_reduce(two_256).to_be_bytes()),
+              "000000000000000000000000000000014551231950b75fc4402da1732fc9bebf");
+    // Chosen so the second fold leaves exactly 2^257 - 1 and the third one
+    // carries past 2^256 (random inputs reach that with probability ~2^-124).
+    std::array<std::uint64_t, 8> third_fold_carries = {
+        0xce4bae2cc83a24b7ull, 0x803e4aa9906f95d3ull, 0, 0,
+        0x951d884b3ed398bfull, 0x04abb7987120e74bull, 0x90b6e3cd8d592676ull, 0x9e87383ed50ad6e2ull};
+    EXPECT_EQ(hex32(Scalar::from_u512_reduce(third_fold_carries).to_be_bytes()),
+              "000000000000000000000000000000028aa24632a16ebf88805b42e65f937d7d");
+    Scalar max256 = Scalar::from_be_bytes_reduce(Bytes(32, 0xff));
+    EXPECT_EQ(hex32(max256.mul(max256).to_be_bytes()),
+              "9d671cd581c69bc5e697f5e45bcd07c3e972508f6d0e38f00911af2e084453c3");
+    // Products whose high half is zero reduce to themselves.
+    Scalar a = Scalar::from_u256_reduce(
+        u256_from_hex("0000000000000000000000000000000000000010000000000000000000003039"));
+    Scalar b = Scalar::from_u256_reduce(
+        u256_from_hex("0000000000000000000000000000000001000000000000000000000000000007"));
+    EXPECT_EQ(hex32(a.mul(b).to_be_bytes()),
+              "000000001000000000000000000000303900007000000000000000000001518f");
+    EXPECT_EQ(a.mul(Scalar::one()), a);
+    EXPECT_TRUE(a.mul(Scalar::zero()).is_zero());
+}
+
+TEST(Scalar, InversePinnedValues) {
+    const std::pair<U256, const char*> cases[] = {
+        {U256{{1, 0, 0, 0}}, "0000000000000000000000000000000000000000000000000000000000000001"},
+        {U256{{2, 0, 0, 0}}, "7fffffffffffffffffffffffffffffff5d576e7357a4501ddfe92f46681b20a1"},
+        {minus(kN, 1), "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364140"},
+        {pow2(255), "b3d1121ac929df2712fe61824f9f56bbbcc8cbc65001783d4227e69a30f93eeb"},
+    };
+    for (const auto& [x, expect] : cases) {
+        Scalar s = Scalar::from_u256_reduce(x);
+        EXPECT_EQ(hex32(s.inverse().to_be_bytes()), expect);
+        EXPECT_EQ(hex32(s.inverse_vartime().to_be_bytes()), expect);
+    }
 }
 
 // ---------- Group ----------
@@ -295,6 +439,25 @@ TEST(Point, DoubleMulMatchesSeparate) {
     }
 }
 
+// Points reached by different operation sequences compare and serialise
+// equal, whatever weakly reduced coordinates each sequence left behind.
+TEST(Point, EqualityAfterArithmeticIsCanonical) {
+    Rng rng(14);
+    for (int i = 0; i < 8; ++i) {
+        Scalar a = Scalar::from_be_bytes_reduce(rng.bytes(32));
+        Scalar b = Scalar::from_be_bytes_reduce(rng.bytes(32));
+        AffinePoint lhs = point_add(generator_mul(a), generator_mul(b));
+        AffinePoint rhs = point_mul(AffinePoint::generator(), a.add(b));
+        EXPECT_EQ(lhs, rhs) << i;
+        EXPECT_EQ(lhs.serialize(), rhs.serialize()) << i;
+        EXPECT_EQ(lhs.x.raw(), rhs.x.raw()) << i;
+    }
+    AffinePoint g = AffinePoint::generator();
+    AffinePoint g_again = point_add(point_add(g, g), AffinePoint{g.x, g.y.negate(), false});
+    EXPECT_EQ(g_again, g);
+    EXPECT_EQ(g_again.serialize(), g.serialize());
+}
+
 TEST(Point, SerializeParseRoundTrip) {
     AffinePoint p = generator_mul(Scalar::from_u64(0x1234567));
     auto parsed = AffinePoint::parse(p.serialize());
@@ -369,6 +532,23 @@ TEST(Scalar, BatchInverseMatchesIndividual) {
     for (std::size_t i = 0; i < elems.size(); ++i) EXPECT_EQ(elems[i], expect[i]) << i;
 }
 
+// The scalars at the edges of the GLV split: 0, 1, 2, n-1, n-2, λ, n-λ,
+// 2^128 - 1, 2^128 and 2^255.
+std::vector<Scalar> glv_edge_scalars() {
+    U256 two128_minus1;
+    two128_minus1.v = {~0ull, ~0ull, 0, 0};
+    return {Scalar::zero(),
+            Scalar::one(),
+            Scalar::from_u64(2),
+            Scalar::from_u256_reduce(minus(kN, 1)),
+            Scalar::from_u256_reduce(minus(kN, 2)),
+            QTable::lambda(),
+            QTable::lambda().negate(),
+            Scalar::from_u256_reduce(two128_minus1),
+            Scalar::from_u256_reduce(pow2(128)),
+            Scalar::from_u256_reduce(pow2(255))};
+}
+
 TEST(QTable, DoubleMulMatchesGeneric) {
     Rng rng(406);
     AffinePoint q = generator_mul(Scalar::from_be_bytes_reduce(rng.bytes(32)));
@@ -377,6 +557,12 @@ TEST(QTable, DoubleMulMatchesGeneric) {
         Scalar u1 = Scalar::from_be_bytes_reduce(rng.bytes(32));
         Scalar u2 = Scalar::from_be_bytes_reduce(rng.bytes(32));
         EXPECT_EQ(table.double_mul(u1, u2), double_mul(u1, q, u2)) << i;
+    }
+    std::vector<Scalar> edges = glv_edge_scalars();
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        Scalar u1 = Scalar::from_be_bytes_reduce(rng.bytes(32));
+        EXPECT_EQ(table.double_mul(u1, edges[i]), double_mul(u1, q, edges[i])) << i;
+        EXPECT_EQ(table.double_mul(Scalar(), edges[i]), point_mul(q, edges[i])) << i;
     }
     // Small / degenerate scalars exercise the wNAF edge cases.
     EXPECT_EQ(table.double_mul(Scalar(), Scalar::one()), q);
@@ -397,6 +583,73 @@ TEST(QTable, CheckRMatchesAffineComparison) {
         Scalar r = Scalar::from_be_bytes_reduce(BytesView(px.data(), px.size()));
         EXPECT_TRUE(table.double_mul_check_r(u1, u2, r)) << i;
         EXPECT_FALSE(table.double_mul_check_r(u1, u2, r.add(Scalar::one()))) << i;
+    }
+    for (const Scalar& u2 : glv_edge_scalars()) {
+        Scalar u1 = Scalar::from_be_bytes_reduce(rng.bytes(32));
+        AffinePoint p = double_mul(u1, q, u2);
+        ASSERT_FALSE(p.infinity);
+        Digest32 px = p.x.to_be_bytes();
+        Scalar r = Scalar::from_be_bytes_reduce(BytesView(px.data(), px.size()));
+        EXPECT_TRUE(table.double_mul_check_r(u1, u2, r)) << hex32(u2.to_be_bytes());
+        EXPECT_FALSE(table.double_mul_check_r(u1, u2, r.add(Scalar::one())))
+            << hex32(u2.to_be_bytes());
+    }
+}
+
+// ---------- GLV endomorphism ----------
+
+// β and λ are nontrivial cube roots of unity mod p and mod n: derive both
+// roots as g^((m-1)/3) and its square for the first base g that does not
+// give 1, check the code's constants are among them, and pin their hex.
+TEST(Glv, ConstantsAreTheDerivedCubeRoots) {
+    auto roots = [](auto one, const U256& m, auto from_u64) {
+        U256 e = div3(minus(m, 1));
+        for (std::uint64_t g = 2;; ++g) {
+            auto r = pow_u256(from_u64(g), e);
+            if (!(r == one)) return std::make_pair(r, r.sqr());
+        }
+    };
+    auto [b1, b2] = roots(Fe::one(), kP, [](std::uint64_t g) { return Fe::from_u64(g); });
+    auto [l1, l2] = roots(Scalar::one(), kN, [](std::uint64_t g) { return Scalar::from_u64(g); });
+    EXPECT_TRUE(QTable::beta() == b1 || QTable::beta() == b2);
+    EXPECT_TRUE(QTable::lambda() == l1 || QTable::lambda() == l2);
+    EXPECT_EQ(hex32(QTable::beta().to_be_bytes()),
+              "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
+    EXPECT_EQ(hex32(QTable::lambda().to_be_bytes()),
+              "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+    // Cube roots of unity other than 1: x^2 + x + 1 = 0.
+    EXPECT_TRUE(QTable::beta().sqr().add(QTable::beta()).add(Fe::one()).is_zero());
+    EXPECT_TRUE(QTable::lambda().sqr().add(QTable::lambda()).add(Scalar::one()).is_zero());
+}
+
+// λ·P = (β·x, y), by the generic double-and-add (no GLV), for G and for
+// random points.
+TEST(Glv, LambdaMultipleIsBetaTimesX) {
+    Rng rng(408);
+    std::vector<AffinePoint> points = {AffinePoint::generator()};
+    for (int i = 0; i < 8; ++i) {
+        points.push_back(generator_mul(Scalar::from_be_bytes_reduce(rng.bytes(32))));
+    }
+    for (const AffinePoint& p : points) {
+        AffinePoint lp = point_mul(p, QTable::lambda());
+        EXPECT_EQ(lp.x, p.x.mul(QTable::beta()));
+        EXPECT_EQ(lp.y, p.y);
+    }
+}
+
+// u ≡ ±k1 ± k2·λ (mod n) with both halves below 2^128, the bound
+// QTable::split states, at the edges and for 10,000 random scalars.
+TEST(Glv, SplitRecombinesWithHalvesBelow2To128) {
+    Rng rng(409);
+    std::vector<Scalar> scalars = glv_edge_scalars();
+    for (int i = 0; i < 10000; ++i) scalars.push_back(Scalar::from_be_bytes_reduce(rng.bytes(32)));
+    for (const Scalar& u : scalars) {
+        QTable::Split s = QTable::split(u);
+        Scalar k1 = s.neg1 ? s.k1.negate() : s.k1;
+        Scalar k2 = s.neg2 ? s.k2.negate() : s.k2;
+        EXPECT_EQ(k1.add(k2.mul(QTable::lambda())), u) << hex32(u.to_be_bytes());
+        EXPECT_EQ(s.k1.raw().v[2] | s.k1.raw().v[3], 0u) << hex32(u.to_be_bytes());
+        EXPECT_EQ(s.k2.raw().v[2] | s.k2.raw().v[3], 0u) << hex32(u.to_be_bytes());
     }
 }
 
