@@ -61,6 +61,55 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueThroughput)->Arg(1 << 10)->Arg(1 << 16);
 
+// Hold model: a standing queue of N pending node events, where every
+// executed event schedules one successor at a pseudo-random later time, so
+// the queue stays N deep. This is the traffic of a protocol run (timers and
+// in-flight deliveries wait while others fire). Each closure captures 56
+// bytes, the size of the timer-fire closure, so the queue moves closures of
+// the real size. Delays and owners come from a generator the closures
+// reach through a pointer, so the compiler cannot fold them. Items
+// processed counts executed events.
+struct HoldEvent {
+    Simulator* sim;
+    std::uint64_t* rng;  // shared xorshift64 state
+    std::uint64_t* fired;
+    std::uint64_t* stop_at;
+    std::uint64_t pad[3];
+
+    void operator()() const {
+        std::uint64_t x = *rng;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *rng = x;
+        const Time delay = 1 + static_cast<Time>(x % 1024);
+        sim->at_node(sim->now() + delay, static_cast<NodeId>((x >> 32) % 8), HoldEvent(*this));
+        if (++*fired == *stop_at) sim->stop();
+    }
+};
+static_assert(sizeof(HoldEvent) == 56, "hold closures are timer-fire sized");
+static_assert(EventFn::fits_inline<HoldEvent>, "hold closures must stay inline");
+
+void BM_EventQueueHold(benchmark::State& state) {
+    constexpr std::uint64_t kBatch = 1024;  // events executed per iteration
+    const std::size_t pending = static_cast<std::size_t>(state.range(0));
+    Simulator sim;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+    std::uint64_t fired = 0;
+    std::uint64_t stop_at = 0;
+    for (std::size_t i = 0; i < pending; ++i) {
+        sim.at_node(static_cast<Time>(i % 1024), static_cast<NodeId>(i % 8),
+                    HoldEvent{&sim, &rng, &fired, &stop_at, {}});
+    }
+    for (auto _ : state) {
+        stop_at += kBatch;
+        sim.run();
+    }
+    benchmark::DoNotOptimize(fired);
+    state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1 << 10)->Arg(1 << 14);
+
 // Timer churn: arm/cancel/fire through ProcessingNode's timer queue, the
 // pattern retry/gap/batch timers follow. Half the timers are cancelled
 // before firing (cancelled timers still traverse the event queue).
