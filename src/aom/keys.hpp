@@ -3,9 +3,13 @@
 // The paper's receivers run a key-exchange protocol with the sequencer
 // switch, facilitated by the configuration service (§4.3). Here the
 // configuration service derives each (switch, receiver) key from a master
-// secret and hands it to exactly those two parties; the derivation function
-// is deterministic so failover to a new switch re-provisions keys without
-// extra state.
+// secret and hands it to exactly those two parties, who then hold it: the
+// switch takes its group's keys when the group is installed
+// (SequencerSwitch::install_group), and each receiver holds the key of its
+// current sequencer (AomReceiver), so no packet pays a derivation. The
+// derivation function is deterministic, so failover to a new switch
+// re-provisions keys without extra state: the new switch derives them at
+// install and receivers when the epoch's sequencer changes.
 #pragma once
 
 #include "common/bytes.hpp"

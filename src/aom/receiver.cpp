@@ -101,6 +101,14 @@ void AomReceiver::on_packet(NodeId from, BytesView data) {
 
 // ---------- HM variant ----------
 
+const crypto::HalfSipKey& AomReceiver::hm_key(NodeId sequencer) {
+    if (hm_key_switch_ != sequencer) {
+        hm_key_ = keys_->hm_key(sequencer, self_);
+        hm_key_switch_ = sequencer;
+    }
+    return hm_key_;
+}
+
 void AomReceiver::handle_hm(const HmPacket& pkt) {
     if (pkt.group != group_.group || pkt.epoch != epoch_) return;
     if (pkt.seq < next_seq_) return;  // already resolved
@@ -130,7 +138,7 @@ void AomReceiver::handle_hm(const HmPacket& pkt) {
     // If this subgroup packet covers our slot, verify our MAC entry before
     // trusting anything in it.
     if (my_slot >= base_slot && my_slot < base_slot + expect_macs) {
-        crypto::HalfSipKey key = keys_->hm_key(sequencer_for_epoch(pkt.epoch), self_);
+        const crypto::HalfSipKey& key = hm_key(sequencer_for_epoch(pkt.epoch));
         Bytes input = auth_input(pkt.group, pkt.epoch, pkt.seq, pkt.digest);
         crypto_->meter().macs++;
         crypto_->meter().charge(crypto_->root().costs().mac_ns);

@@ -169,6 +169,9 @@ class AomReceiver {
     void fire_gap_timer();
     bool deliverable(const Pending& p) const;
     OrderingCert build_cert(SeqNum seq, const Pending& p) const;
+    /// The aom-hm key shared with `sequencer`. Held across packets and
+    /// derived again only when the sequencer changes (§4.3 key exchange).
+    const crypto::HalfSipKey& hm_key(NodeId sequencer);
 
     GroupConfig group_;
     NodeId self_;
@@ -195,6 +198,9 @@ class AomReceiver {
     bool gap_timer_armed_ = false;
     std::uint64_t gap_timer_id_ = 0;
     SeqNum gap_timer_seq_ = 0;
+
+    std::optional<NodeId> hm_key_switch_;  // whose key hm_key_ is
+    crypto::HalfSipKey hm_key_;
 
     std::uint64_t delivered_messages_ = 0;
     std::uint64_t delivered_drops_ = 0;

@@ -31,6 +31,11 @@ void SequencerSwitch::install_group(const GroupConfig& group, EpochNum epoch) {
     gs->epoch = epoch;
     gs->next_seq = 1;
     gs->chain = chain_genesis(group.group, epoch);
+    if (group.variant == AuthVariant::kHmacVector) {
+        NEO_ASSERT_MSG(attached(), "an HM group's keys are bound to the switch's node id");
+        gs->hm_keys.reserve(group.receivers.size());
+        for (NodeId receiver : group.receivers) gs->hm_keys.push_back(keys_->hm_key(id(), receiver));
+    }
     if (groups_.size() <= group.group) groups_.resize(group.group + 1);
     groups_[group.group] = std::move(gs);
 }
@@ -153,19 +158,13 @@ void SequencerSwitch::process_hm(GroupState& gs, const DataPacket& pkt, sim::Tim
             // Full subgroup: same input, four keys — one 4-lane SipHash
             // dispatch (see crypto::halfsiphash24_x4) instead of four
             // scalar passes over the input.
-            crypto::HalfSipKey keys[kHmSubgroupSize];
             std::uint32_t macs[kHmSubgroupSize];
-            for (int slot = lo; slot < hi; ++slot) {
-                keys[slot - lo] =
-                    keys_->hm_key(id(), gs.cfg.receivers[static_cast<std::size_t>(slot)]);
-            }
-            crypto::halfsiphash24_x4(keys, input, macs);
+            crypto::halfsiphash24_x4(&gs.hm_keys[static_cast<std::size_t>(lo)], input, macs);
             out.macs.insert(out.macs.end(), macs, macs + kHmSubgroupSize);
         } else {
             for (int slot = lo; slot < hi; ++slot) {
-                crypto::HalfSipKey key =
-                    keys_->hm_key(id(), gs.cfg.receivers[static_cast<std::size_t>(slot)]);
-                out.macs.push_back(crypto::halfsiphash24(key, input));
+                out.macs.push_back(
+                    crypto::halfsiphash24(gs.hm_keys[static_cast<std::size_t>(slot)], input));
             }
         }
         out.payload = pkt.payload;

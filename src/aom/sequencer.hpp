@@ -61,7 +61,9 @@ class SequencerSwitch : public sim::Node {
         : cfg_(cfg), crypto_(std::move(crypto)), keys_(keys) {}
 
     /// Control plane (configuration service): makes this switch the
-    /// sequencer for `group` starting at `epoch`. Resets counter and chain.
+    /// sequencer for `group` starting at `epoch`. Resets counter and chain;
+    /// for an HM group this is the key exchange (§4.3), so the switch must
+    /// be attached: it takes its per-receiver keys here.
     void install_group(const GroupConfig& group, EpochNum epoch);
     void remove_group(GroupId group);
     bool serves_group(GroupId group) const {
@@ -105,6 +107,8 @@ class SequencerSwitch : public sim::Node {
         Digest32 head_digest{};
         std::uint32_t unsigned_run = 0;
         std::uint64_t checkpoint_generation = 0;
+        // HM: the key shared with cfg.receivers[i], taken at install.
+        std::vector<crypto::HalfSipKey> hm_keys;
     };
 
     void process_hm(GroupState& gs, const DataPacket& pkt, sim::Time emit_time);

@@ -56,7 +56,6 @@ std::unique_ptr<NodeCrypto> TrustRoot::provision(NodeId node) {
         // verifiers on any partition read it without locks.
         signer_tables_.emplace(node, std::make_unique<QTable>(it->second.q));
     }
-    provisioned_[node] = true;
     return std::unique_ptr<NodeCrypto>(new NodeCrypto(this, node, priv));
 }
 

@@ -119,7 +119,6 @@ class TrustRoot {
     HmacSha256Key master_key_;
     std::unordered_map<NodeId, EcdsaPublicKey> public_keys_;
     std::unordered_map<NodeId, std::unique_ptr<QTable>> signer_tables_;
-    std::unordered_map<NodeId, bool> provisioned_;
     // Slots are allocated in kReal only (see the constructor).
     struct MemoShard {
         std::mutex m;

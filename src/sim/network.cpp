@@ -8,23 +8,28 @@
 namespace neo::sim {
 
 void Network::add_node(Node& node, NodeId id) {
-    NEO_ASSERT_MSG(!nodes_.contains(id), "duplicate node id");
+    NEO_ASSERT_MSG(id != kInvalidNode, "add_node() requires a real node id");
+    NEO_ASSERT_MSG(id >= nodes_.size() || nodes_[id] == nullptr, "duplicate node id");
     NEO_ASSERT_MSG(node.net_ == nullptr, "node already attached");
     node.net_ = this;
     node.id_ = id;
+    // Size every NodeId-indexed table here, from setup code, so nothing is
+    // resized once workers run.
+    if (id >= nodes_.size()) nodes_.resize(static_cast<std::size_t>(id) + 1, nullptr);
     nodes_[id] = &node;
+    for (Shard& s : shards_) {
+        if (id >= s.delivered_to.size()) s.delivered_to.resize(nodes_.size(), 0);
+    }
     // Memoize the node's partition under the current placement policy
     // (setup-time only; the table is immutable once workers run).
     sim_.bind_node(id);
-    // Pre-build the sender stream so the map is never mutated from a worker
-    // thread once the simulation runs.
-    streams_.emplace(id, StreamRng(seed_, id));
+    if (id >= streams_.size()) grow_streams(id);
 }
 
-StreamRng& Network::stream(NodeId from) {
-    auto it = streams_.find(from);
-    if (it == streams_.end()) it = streams_.emplace(from, StreamRng(seed_, from)).first;
-    return it->second;
+void Network::grow_streams(NodeId id) {
+    for (std::size_t i = streams_.size(); i <= id; ++i) {
+        streams_.emplace_back(seed_, static_cast<std::uint64_t>(i));
+    }
 }
 
 void Network::refresh_lookahead() {
@@ -54,25 +59,31 @@ void Network::set_node_down(NodeId id, bool down) {
 std::uint64_t Network::delivered_to(NodeId id) const {
     std::uint64_t total = 0;
     for (const auto& s : shards_) {
-        auto it = s.delivered_to.find(id);
-        if (it != s.delivered_to.end()) total += it->second;
+        if (id < s.delivered_to.size()) total += s.delivered_to[id];
     }
     return total;
 }
 
 void Network::reset_counters() {
-    for (auto& s : shards_) s = Shard{};
+    for (auto& s : shards_) {
+        s = Shard{};
+        s.delivered_to.resize(nodes_.size(), 0);
+    }
 }
 
 Time Network::total_cpu_busy() const {
     Time total = 0;
-    for (const auto& [id, node] : nodes_) total += node->cpu_busy_time();
+    for (const Node* node : nodes_) {
+        if (node != nullptr) total += node->cpu_busy_time();
+    }
     return total;
 }
 
 Time Network::total_queue_wait() const {
     Time total = 0;
-    for (const auto& [id, node] : nodes_) total += node->cpu_queue_wait();
+    for (const Node* node : nodes_) {
+        if (node != nullptr) total += node->cpu_queue_wait();
+    }
     return total;
 }
 
@@ -101,27 +112,13 @@ void Network::register_metrics(obs::Registry& reg, const std::string& prefix) {
         if (std::uint64_t n = tamper_mutations(); n != 0) {
             r.set_value(prefix + ".tamper.mutations", static_cast<double>(n));
         }
-        // Merge the per-shard delivered-to maps and dump keys in sorted
-        // order via a reused scratch vector (no ordered map rebuild per
-        // dump).
-        delivered_scratch_.clear();
-        for (const auto& s : shards_) {
-            for (const auto& [node, count] : s.delivered_to) {
-                delivered_scratch_.emplace_back(node, count);
+        // Per-destination counts summed over shards, in id order; ids that
+        // received nothing publish no key.
+        for (NodeId node = 0; node < nodes_.size(); ++node) {
+            if (std::uint64_t n = delivered_to(node); n != 0) {
+                r.set_value(prefix + ".delivered_to." + std::to_string(node),
+                            static_cast<double>(n));
             }
-        }
-        std::sort(delivered_scratch_.begin(), delivered_scratch_.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        // Same destination may appear in several shards: fold runs of equal
-        // keys while emitting.
-        for (std::size_t i = 0; i < delivered_scratch_.size();) {
-            NodeId node = delivered_scratch_[i].first;
-            std::uint64_t count = 0;
-            for (; i < delivered_scratch_.size() && delivered_scratch_[i].first == node; ++i) {
-                count += delivered_scratch_[i].second;
-            }
-            r.set_value(prefix + ".delivered_to." + std::to_string(node),
-                        static_cast<double>(count));
         }
     });
 }
@@ -186,8 +183,8 @@ void Network::send_at(Time depart, NodeId from, NodeId to, Packet data) {
     latency += static_cast<Time>(cfg.ns_per_byte * static_cast<double>(data.size()));
 
     auto deliver = [this, from, to, latency, data = std::move(data)]() {
-        auto it = nodes_.find(to);
-        if (it == nodes_.end()) {
+        Node* node = to < nodes_.size() ? nodes_[to] : nullptr;
+        if (node == nullptr) {
             count_drop(obs::DropReason::kNoRoute, sim_.now(), from, to, data.size());
             return;
         }
@@ -202,7 +199,7 @@ void Network::send_at(Time depart, NodeId from, NodeId to, Packet data) {
         if (obs::TraceSink* tr = sim_.trace()) {
             tr->packet_deliver(sim_.now(), from, to, data.size());
         }
-        it->second->on_packet(from, data);
+        node->on_packet(from, data);
     };
     // The whole point of the EventFn small-buffer store: a delivery event
     // must never allocate. If this closure grows past the inline capacity,

@@ -27,7 +27,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -98,11 +97,13 @@ class Network {
     /// Partitions: blocked directional pairs deliver nothing.
     void block(NodeId from, NodeId to) { blocked_.insert(key(from, to)); }
     void unblock(NodeId from, NodeId to) { blocked_.erase(key(from, to)); }
-    bool is_blocked(NodeId from, NodeId to) const { return blocked_.contains(key(from, to)); }
+    bool is_blocked(NodeId from, NodeId to) const {
+        return !blocked_.empty() && blocked_.contains(key(from, to));
+    }
 
     /// A down node neither sends nor receives (crash model).
     void set_node_down(NodeId id, bool down);
-    bool is_down(NodeId id) const { return down_.contains(id); }
+    bool is_down(NodeId id) const { return !down_.empty() && down_.contains(id); }
 
     void set_tamper(TamperFn fn) { tamper_ = std::move(fn); }
 
@@ -171,7 +172,8 @@ class Network {
         Time transit_time = 0;
         std::array<std::uint64_t, static_cast<std::size_t>(obs::DropReason::kCount_)>
             drops_by_reason{};
-        std::unordered_map<NodeId, std::uint64_t> delivered_to;
+        /// NodeId-indexed; add_node sizes it in every shard before any run.
+        std::vector<std::uint64_t> delivered_to;
     };
 
     Shard& shard() { return shards_[sim_.current_shard()]; }
@@ -181,11 +183,16 @@ class Network {
         return total;
     }
 
-    /// The per-sender deterministic stream. Senders are pre-registered by
-    /// add_node; sends from ids that were never attached (test scaffolding)
-    /// fall back to a lazy insert, which is only safe from setup code or a
-    /// global event — never from a node event on a worker thread.
-    StreamRng& stream(NodeId from);
+    /// The per-sender deterministic stream. add_node sizes the table past
+    /// every attached id; sends from ids beyond it (test scaffolding that
+    /// never attached the sender) grow it lazily, which is only safe from
+    /// setup code or a global event — never from a node event on a worker
+    /// thread.
+    StreamRng& stream(NodeId from) {
+        if (from >= streams_.size()) grow_streams(from);
+        return streams_[from];
+    }
+    void grow_streams(NodeId id);
 
     void refresh_lookahead();
     void count_drop(obs::DropReason reason, Time t, NodeId from, NodeId to, std::size_t bytes);
@@ -194,18 +201,18 @@ class Network {
     std::uint64_t seed_;
     LinkConfig default_link_;
     std::map<std::uint64_t, LinkConfig> link_overrides_;
-    std::unordered_map<NodeId, Node*> nodes_;
-    std::unordered_map<NodeId, StreamRng> streams_;
+    // NodeId-indexed tables, grown only from setup code (add_node): packet
+    // routing and the per-sender streams index them without hashing.
+    // nodes_ holds null for ids that were never attached; streams_[id] is
+    // StreamRng(seed_, id) for every id, attached or not.
+    std::vector<Node*> nodes_;
+    std::vector<StreamRng> streams_;
     std::unordered_set<std::uint64_t> blocked_;
     std::unordered_set<NodeId> down_;
     TamperFn tamper_;
     double global_drop_rate_ = 0.0;
 
     std::vector<Shard> shards_;
-    /// Scratch reused by register_metrics' collector so a registry dump
-    /// sorts the merged delivered-to counts without rebuilding an ordered
-    /// map each time.
-    std::vector<std::pair<NodeId, std::uint64_t>> delivered_scratch_;
 };
 
 /// Base class for all simulated endpoints.

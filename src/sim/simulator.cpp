@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
@@ -18,44 +17,51 @@ using detail::kTimeInf;
 
 namespace detail {
 
-void EventHeap::push(Ev e) {
-    v_.push_back(std::move(e));
-    sift_up(v_.size() - 1);
+void EventHeap::push(const EventKey& key, NodeId owner, EventFn&& fn) {
+    if (free_.empty()) {
+        free_.push_back(static_cast<std::uint32_t>(slots_.size()));
+        slots_.emplace_back();
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(fn);
+
+    heap_.emplace_back();
+    heap_[hole_up(heap_.size() - 1, key)] = Entry{key, slot, owner};
+}
+
+std::size_t EventHeap::hole_up(std::size_t hole, const EventKey& key) {
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 2;
+        if (!key.before(heap_[parent].key)) break;
+        heap_[hole] = heap_[parent];
+        hole = parent;
+    }
+    return hole;
 }
 
 Ev EventHeap::pop() {
-    Ev ev = std::move(v_.front());
-    if (v_.size() > 1) {
-        v_.front() = std::move(v_.back());
-        v_.pop_back();
-        sift_down(0);
-    } else {
-        v_.pop_back();
+    const Entry top = heap_.front();
+    Ev ev{top.key, top.owner, std::move(slots_[top.slot])};
+    free_.push_back(top.slot);
+
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n > 0) {
+        // Floyd's pop: walk the root hole down the smaller children to a
+        // leaf, then move it back up to where the last entry belongs. The
+        // last entry usually belongs near the bottom, so this costs about
+        // one key comparison per level where a plain sift-down costs two.
+        std::size_t hole = 0;
+        for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+            if (child + 1 < n && heap_[child + 1].key.before(heap_[child].key)) ++child;
+            heap_[hole] = heap_[child];
+            hole = child;
+        }
+        heap_[hole_up(hole, last.key)] = last;
     }
     return ev;
-}
-
-void EventHeap::sift_up(std::size_t i) {
-    while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
-        if (!v_[i].key.before(v_[parent].key)) break;
-        std::swap(v_[i], v_[parent]);
-        i = parent;
-    }
-}
-
-void EventHeap::sift_down(std::size_t i) {
-    const std::size_t n = v_.size();
-    for (;;) {
-        std::size_t left = 2 * i + 1;
-        if (left >= n) break;
-        std::size_t best = left;
-        std::size_t right = left + 1;
-        if (right < n && v_[right].key.before(v_[left].key)) best = right;
-        if (!v_[best].key.before(v_[i].key)) break;
-        std::swap(v_[i], v_[best]);
-        i = best;
-    }
 }
 
 // One logical process: a slice of the nodes, their event heap and virtual
@@ -73,9 +79,14 @@ struct Partition {
     EventHeap heap;
     Time now = 0;
     std::uint64_t executed = 0;
-    // Per-lane monotonic counters; unordered_map references are stable, so
-    // ExecContext can hold a pointer across the event's execution.
-    std::unordered_map<std::uint64_t, std::uint64_t> lane_seq;
+    // Per-lane monotonic counters, indexed by lane (the executing node's
+    // id). The vector grows only here, at event start, before ExecContext
+    // takes the pointer, so the pointer stays valid while the event runs.
+    std::vector<std::uint64_t> lane_seq;
+    std::uint64_t* lane_counter(NodeId lane) {
+        if (lane >= lane_seq.size()) lane_seq.resize(static_cast<std::size_t>(lane) + 1, 0);
+        return &lane_seq[lane];
+    }
     // outbox[parity][dst]: events this partition scheduled for partition
     // dst during a window writing `parity`; dst merges them at the start of
     // the next window (the barrier is the happens-before edge).
@@ -122,7 +133,7 @@ EventKey Simulator::make_key(Time t, ExecContext* c) {
     return EventKey{t, kGlobalLane, global_seq_++};
 }
 
-void Simulator::at(Time t, Callback fn) {
+void Simulator::at(Time t, Callback&& fn) {
     ExecContext* c = own_ctx();
     if (c != nullptr && c->part != nullptr) {
         schedule_node(t, static_cast<NodeId>(c->lane), std::move(fn), c);
@@ -131,14 +142,14 @@ void Simulator::at(Time t, Callback fn) {
     }
 }
 
-void Simulator::at_node(Time t, NodeId owner, Callback fn) {
+void Simulator::at_node(Time t, NodeId owner, Callback&& fn) {
     NEO_ASSERT_MSG(owner != kInvalidNode, "at_node() requires a real node id");
     schedule_node(t, owner, std::move(fn), own_ctx());
 }
 
-void Simulator::at_global(Time t, Callback fn) { schedule_global(t, std::move(fn), own_ctx()); }
+void Simulator::at_global(Time t, Callback&& fn) { schedule_global(t, std::move(fn), own_ctx()); }
 
-void Simulator::schedule_node(Time t, NodeId owner, EventFn fn, ExecContext* c) {
+void Simulator::schedule_node(Time t, NodeId owner, EventFn&& fn, ExecContext* c) {
     EventKey key = make_key(t, c);
     detail::Partition& dst = *parts_[partition_of(owner)];
     if (c != nullptr && c->part != nullptr && c->part != &dst) {
@@ -155,10 +166,10 @@ void Simulator::schedule_node(Time t, NodeId owner, EventFn fn, ExecContext* c) 
             return;
         }
     }
-    dst.heap.push(Ev{key, owner, std::move(fn)});
+    dst.heap.push(key, owner, std::move(fn));
 }
 
-void Simulator::schedule_global(Time t, EventFn fn, ExecContext* c) {
+void Simulator::schedule_global(Time t, EventFn&& fn, ExecContext* c) {
     if (c != nullptr && c->part != nullptr) {
         // Scheduled from inside a node's event: the global must not land
         // inside the window that is scheduling it.
@@ -168,11 +179,11 @@ void Simulator::schedule_global(Time t, EventFn fn, ExecContext* c) {
         if (c->windowed) {
             c->part->pending_globals.push_back(Ev{key, kInvalidNode, std::move(fn)});
         } else {
-            global_.push(Ev{key, kInvalidNode, std::move(fn)});
+            global_.push(key, kInvalidNode, std::move(fn));
         }
         return;
     }
-    global_.push(Ev{make_key(t, c), kInvalidNode, std::move(fn)});
+    global_.push(make_key(t, c), kInvalidNode, std::move(fn));
 }
 
 // ---------------------------------------------------------------------------
@@ -192,7 +203,7 @@ void Simulator::exec_on_partition(detail::Partition& p, Ev ev) {
     ctx.trace = trace_;
     ctx.now = ev.key.t;
     ctx.lane = ev.owner;
-    ctx.seq = &p.lane_seq[ev.owner];
+    ctx.seq = p.lane_counter(ev.owner);
     ctx.shard = p.index;
     ctx.windowed = false;
     ExecContext* prev = g_ctx;
@@ -255,7 +266,7 @@ void Simulator::merge_all_mailboxes() {
         for (unsigned par = 0; par < 2; ++par) {
             for (unsigned d = 0; d < nparts_; ++d) {
                 auto& box = src->outbox[par][d];
-                for (auto& ev : box) parts_[d]->heap.push(std::move(ev));
+                for (auto& ev : box) parts_[d]->heap.push(ev.key, ev.owner, std::move(ev.fn));
                 box.clear();
                 src->outbox_min[par][d] = kTimeInf;
             }
@@ -265,7 +276,7 @@ void Simulator::merge_all_mailboxes() {
 
 void Simulator::collect_pending_globals() {
     for (auto& p : parts_) {
-        for (auto& ev : p->pending_globals) global_.push(std::move(ev));
+        for (auto& ev : p->pending_globals) global_.push(ev.key, ev.owner, std::move(ev.fn));
         p->pending_globals.clear();
     }
 }
@@ -400,7 +411,7 @@ void Simulator::window_work(detail::Partition& p, Time wend, unsigned parity) {
     for (auto& src : parts_) {
         auto& box = src->outbox[parity ^ 1][p.index];
         if (!box.empty()) {
-            for (auto& ev : box) p.heap.push(std::move(ev));
+            for (auto& ev : box) p.heap.push(ev.key, ev.owner, std::move(ev.fn));
             box.clear();
         }
         src->outbox_min[parity ^ 1][p.index] = kTimeInf;
@@ -422,7 +433,7 @@ void Simulator::window_work(detail::Partition& p, Time wend, unsigned parity) {
         p.now = ev.key.t;
         ctx.now = ev.key.t;
         ctx.lane = ev.owner;
-        ctx.seq = &p.lane_seq[ev.owner];
+        ctx.seq = p.lane_counter(ev.owner);
         ++p.executed;
         ev.fn();
         if (ctx.trace != nullptr && p.tbuf->size() != tprev) {

@@ -52,10 +52,11 @@
 // serial merged drain regardless of the configured thread count — same
 // results, no speedup.
 //
-// The per-partition event queue is a hand-rolled binary heap rather than a
-// std::priority_queue of std::function: callbacks are move-only EventFns
-// with inline storage (packet-delivery closures never touch the heap, see
-// sim/event.hpp), and pop() moves the top event out instead of copying it.
+// The per-partition event queue (detail::EventHeap) keeps closures out of
+// the heap itself: callbacks are move-only EventFns with inline storage
+// (packet-delivery closures never allocate, see sim/event.hpp) parked in a
+// slab, and the heap orders 32-byte (key, slot, owner) entries. A closure
+// is moved into its slot once and out of it once, however deep the queue.
 // Pop order is governed solely by the strict total order on keys, so the
 // heap layout cannot leak into simulated results.
 #pragma once
@@ -110,20 +111,39 @@ struct Ev {
     EventFn fn;
 };
 
-/// Min-heap on EventKey::before; pop() moves the event out (no copies).
+/// Binary min-heap on EventKey::before. The heap orders 32-byte
+/// (key, slot, owner) entries; each closure waits in a slab slot (reused
+/// through a free list), so push() moves it in once and pop() moves it out
+/// once. Sifts move a hole, one entry copy per level. Once the slab and
+/// heap vectors have grown to the deepest queue seen, push and pop never
+/// allocate.
 class EventHeap {
   public:
-    bool empty() const { return v_.empty(); }
-    std::size_t size() const { return v_.size(); }
-    const EventKey& top_key() const { return v_.front().key; }
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+    const EventKey& top_key() const { return heap_.front().key; }
 
-    void push(Ev e);
+    void push(const EventKey& key, NodeId owner, EventFn&& fn);
     Ev pop();
 
   private:
-    void sift_up(std::size_t i);
-    void sift_down(std::size_t i);
-    std::vector<Ev> v_;
+    // 32 bytes with no padding, so an entry copies as two 16-byte halves:
+    // with 4 bytes of padding GCC copied it with overlapping moves that
+    // defeat store forwarding, costing several ns per push and pop.
+    struct Entry {
+        EventKey key;
+        std::uint32_t slot = 0;
+        NodeId owner = kInvalidNode;
+    };
+    static_assert(sizeof(Entry) == 32);
+
+    /// Moves the hole at `hole` up past every ancestor `key` sorts
+    /// before; returns where it stops.
+    std::size_t hole_up(std::size_t hole, const EventKey& key);
+
+    std::vector<Entry> heap_;
+    std::vector<EventFn> slots_;
+    std::vector<std::uint32_t> free_;  // indices of empty slots_
 };
 
 struct Partition;
@@ -269,22 +289,22 @@ class Simulator {
     /// Schedules `fn` at absolute time `t` (must be >= now()). From inside
     /// a node's event the new event belongs to that node; from setup code
     /// or a global event it is a global event (runs with workers parked).
-    void at(Time t, Callback fn);
+    void at(Time t, Callback&& fn);
 
     /// Schedules `fn` after `delay` nanoseconds.
-    void after(Time delay, Callback fn) { at(now() + delay, std::move(fn)); }
+    void after(Time delay, Callback&& fn) { at(now() + delay, std::move(fn)); }
 
     /// Schedules `fn` at time `t` to execute at `owner`'s partition — the
     /// form every cross-node interaction must take. When called from a
     /// different partition's event, `t` must be at least lookahead() in the
     /// future (the conservative contract; asserted).
-    void at_node(Time t, NodeId owner, Callback fn);
+    void at_node(Time t, NodeId owner, Callback&& fn);
 
     /// Schedules `fn` as a global event: it runs between windows with every
     /// worker parked, after all node events with timestamp <= t, and may
     /// therefore read and mutate cross-node shared state. From inside a
     /// node's event, `t` must be at least lookahead() in the future.
-    void at_global(Time t, Callback fn);
+    void at_global(Time t, Callback&& fn);
 
     /// Runs the next event in key order. Returns false if the queue is
     /// empty. Serial (coordinator-thread) stepping only.
@@ -313,8 +333,8 @@ class Simulator {
   private:
     detail::ExecContext* own_ctx() const;
     detail::EventKey make_key(Time t, detail::ExecContext* c);
-    void schedule_node(Time t, NodeId owner, EventFn fn, detail::ExecContext* c);
-    void schedule_global(Time t, EventFn fn, detail::ExecContext* c);
+    void schedule_node(Time t, NodeId owner, EventFn&& fn, detail::ExecContext* c);
+    void schedule_global(Time t, EventFn&& fn, detail::ExecContext* c);
     bool serial_step(Time limit);
     void exec_on_partition(detail::Partition& p, detail::Ev ev);
     void exec_global(detail::Ev ev);

@@ -1,7 +1,11 @@
 // Sequencer failover through the configuration service (§4.2, §6.4).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "aom_test_util.hpp"
+#include "crypto/siphash.hpp"
 
 namespace neo::aom {
 namespace {
@@ -123,6 +127,62 @@ TEST(AomFailover, TrafficFlowsAfterFailover) {
         EXPECT_EQ(to_string(host->deliveries[1].payload), "after");
         EXPECT_EQ(host->deliveries[1].epoch, 2u);
         EXPECT_EQ(host->deliveries[1].seq, 1u);  // sequence restarts per epoch
+    }
+}
+
+// Receivers hold their aom-hm key across packets and derive it again when
+// the epoch's sequencer changes; the new switch takes its keys when the
+// group is installed. Traffic must flow through two failovers, switch
+// 0 -> 1 -> 0, and a MAC under the deposed switch's key must not pass.
+TEST(AomFailover, HmKeysFollowTheSwitch) {
+    Deployment d = make_two_switch();
+    auto send = [&](EpochNum epoch) {
+        d.sender->send_payload(to_bytes("epoch " + std::to_string(epoch)));
+        d.sim.run();
+    };
+    auto fail_over = [&](EpochNum epoch) {
+        d.config->force_failover(Deployment::kGroup);
+        d.sim.run();
+        for (auto& host : d.hosts) {
+            host->receiver().start_epoch(epoch, *host->receiver().announced_sequencer(epoch));
+        }
+    };
+    send(1);
+    fail_over(2);
+    ASSERT_EQ(d.config->current_sequencer(Deployment::kGroup), d.switches[1]->id());
+    send(2);
+    fail_over(3);
+    ASSERT_EQ(d.config->current_sequencer(Deployment::kGroup), d.switches[0]->id());
+    send(3);
+    for (auto& host : d.hosts) {
+        ASSERT_EQ(host->deliveries.size(), 3u);
+        for (EpochNum e = 1; e <= 3; ++e) {
+            EXPECT_EQ(host->deliveries[e - 1].epoch, e);
+            EXPECT_EQ(to_string(host->deliveries[e - 1].payload), "epoch " + std::to_string(e));
+        }
+    }
+
+    // Epoch 3's next sequence number, MACed under switch 1's keys.
+    HmPacket forged;
+    forged.group = Deployment::kGroup;
+    forged.epoch = 3;
+    forged.seq = 2;
+    forged.payload = to_bytes("forged");
+    forged.digest = d.hosts[0]->crypto().hash(forged.payload);
+    const Bytes input = auth_input(forged.group, forged.epoch, forged.seq, forged.digest);
+    for (NodeId r : d.config->group_config(Deployment::kGroup).receivers) {
+        forged.macs.push_back(crypto::halfsiphash24(d.keys.hm_key(d.switches[1]->id(), r), input));
+    }
+    const sim::Packet wire(forged.serialize());
+    std::vector<std::uint64_t> rejected;
+    for (auto& host : d.hosts) {
+        rejected.push_back(host->receiver().rejected_packets());
+        d.net.send(d.switches[1]->id(), host->id(), wire);
+    }
+    d.sim.run();
+    for (std::size_t i = 0; i < d.hosts.size(); ++i) {
+        EXPECT_EQ(d.hosts[i]->receiver().rejected_packets(), rejected[i] + 1);
+        EXPECT_EQ(d.hosts[i]->deliveries.size(), 3u);
     }
 }
 

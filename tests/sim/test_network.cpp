@@ -298,8 +298,26 @@ TEST_F(NetworkTest, RegisterMetricsPublishesCountersAndDropReasons) {
     EXPECT_EQ(snap.at("net.packets_dropped"), 1.0);
     EXPECT_EQ(snap.at("net.drops.partitioned"), 1.0);
     EXPECT_EQ(snap.at("net.delivered_to.3"), 1.0);
-    // Zero-valued drop reasons are omitted from the dump.
+    // Zero-valued drop reasons are omitted from the dump, and so are
+    // attached nodes that received nothing.
     EXPECT_FALSE(snap.contains("net.drops.link_loss"));
+    EXPECT_FALSE(snap.contains("net.delivered_to.1"));
+    EXPECT_FALSE(snap.contains("net.delivered_to.2"));
+
+    // After a reset, deliveries count again from zero. (A registry keeps
+    // every value it was ever given, so a fresh one shows what is gone.)
+    net.reset_counters();
+    net.send(1, 3, to_bytes("z"));
+    net.send(3, 1, to_bytes("w"));
+    sim.run();
+    obs::Registry fresh;
+    net.register_metrics(fresh, "net");
+    snap = fresh.snapshot();
+    EXPECT_EQ(snap.at("net.packets_delivered"), 2.0);
+    EXPECT_EQ(snap.at("net.delivered_to.3"), 1.0);
+    EXPECT_EQ(snap.at("net.delivered_to.1"), 1.0);
+    EXPECT_FALSE(snap.contains("net.delivered_to.2"));
+    EXPECT_FALSE(snap.contains("net.drops.partitioned"));
 }
 
 TEST_F(NetworkTest, TraceRecordsDropReason) {
