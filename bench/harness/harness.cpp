@@ -654,9 +654,8 @@ class NeoDeployment : public ReplicatedDeployment<neobft::Replica, neobft::Clien
 
 /// Replicas 1..n with the harness's batching bounds; f follows the
 /// n_replicas = 3f+1 convention even where the group is smaller (MinBFT).
-template <typename CfgT>
-CfgT baseline_config(const CommonParams& p, int n) {
-    CfgT cfg;
+baselines::BaseConfig baseline_config(const CommonParams& p, int n) {
+    baselines::BaseConfig cfg;
     cfg.f = (p.n_replicas - 1) / 3;
     cfg.batch_max = p.batch_max;
     cfg.batch_delay = p.batch_delay;
@@ -715,7 +714,7 @@ std::unique_ptr<Deployment> make_sharded_neobft(const ShardParams& p) {
 
 std::unique_ptr<Deployment> make_pbft(const CommonParams& p) {
     using namespace baselines;
-    const auto cfg = baseline_config<PbftConfig>(p, p.n_replicas);
+    const auto cfg = baseline_config(p, p.n_replicas);
     return std::make_unique<BaselineDeployment<PbftReplica>>(
         p, cfg, [&](auto c) { return std::make_unique<PbftReplica>(cfg, std::move(c)); },
         quorum_clients(cfg));
@@ -723,7 +722,7 @@ std::unique_ptr<Deployment> make_pbft(const CommonParams& p) {
 
 std::unique_ptr<Deployment> make_zyzzyva(const ZyzzyvaParams& p) {
     using namespace baselines;
-    const auto cfg = baseline_config<ZyzzyvaConfig>(p, p.n_replicas);
+    const auto cfg = baseline_config(p, p.n_replicas);
     auto d = std::make_unique<BaselineDeployment<ZyzzyvaReplica, ZyzzyvaClient>>(
         p, cfg, [&](auto c) { return std::make_unique<ZyzzyvaReplica>(cfg, std::move(c)); },
         [&](auto c) { return std::make_unique<ZyzzyvaClient>(cfg, std::move(c)); });
@@ -733,7 +732,7 @@ std::unique_ptr<Deployment> make_zyzzyva(const ZyzzyvaParams& p) {
 
 std::unique_ptr<Deployment> make_hotstuff(const CommonParams& p) {
     using namespace baselines;
-    const auto cfg = baseline_config<HotStuffConfig>(p, p.n_replicas);
+    const auto cfg = baseline_config(p, p.n_replicas);
     return std::make_unique<BaselineDeployment<HotStuffReplica>>(
         p, cfg, [&](auto c) { return std::make_unique<HotStuffReplica>(cfg, std::move(c)); },
         quorum_clients(cfg));
@@ -741,7 +740,7 @@ std::unique_ptr<Deployment> make_hotstuff(const CommonParams& p) {
 
 std::unique_ptr<Deployment> make_minbft(const CommonParams& p) {
     using namespace baselines;
-    const auto cfg = baseline_config<MinbftConfig>(p, 2 * ((p.n_replicas - 1) / 3) + 1);
+    const auto cfg = baseline_config(p, 2 * ((p.n_replicas - 1) / 3) + 1);
     const std::uint64_t usig_seed = p.seed + 7;
     return std::make_unique<BaselineDeployment<MinbftReplica>>(
         p, cfg,

@@ -1,11 +1,14 @@
 // Shared infrastructure for the four comparison protocols (PBFT, Zyzzyva,
-// HotStuff, MinBFT): request/reply wire formats, batching, a generic
+// HotStuff, MinBFT): request/reply wire formats, batching, the
+// leader-replica core every protocol's replica derives from, a generic
 // leader-directed client, and the unreplicated echo server baseline.
 //
 // All protocols follow the paper's evaluation methodology (§6): the same
 // framework, request batching "following the batching techniques proposed
 // in their original work", MAC-authenticated client requests/replies, and
-// signed replica-to-replica protocol messages.
+// signed replica-to-replica protocol messages. LeaderReplica is that
+// framework: it takes, batches, executes and answers client requests, and
+// each protocol adds only its agreement phases behind its hooks.
 //
 // Scope note (see DESIGN.md §6): baseline view-change protocols are not
 // exercised by any figure in the paper (only NeoBFT's leader/sequencer is
@@ -30,6 +33,7 @@
 
 namespace neo::obs {
 class Auditor;
+class Registry;
 }
 
 namespace neo::baselines {
@@ -71,6 +75,10 @@ struct BaseConfig {
     /// itself tracks load (see sim::AdaptiveBatchController).
     std::size_t batch_max = 16;
     sim::Time batch_delay = 100 * sim::kMicrosecond;
+    /// Checkpoint cadence in sequence numbers: crossing a boundary makes it
+    /// the stable checkpoint, below which the protocol drops its state and
+    /// rejects stale messages. 0 disables checkpoints.
+    std::uint64_t checkpoint_interval = 128;
 
     sim::AdaptiveBatchPolicy batch_policy() const {
         return sim::AdaptiveBatchPolicy{1, batch_max, batch_delay};
@@ -94,15 +102,6 @@ struct BaseConfig {
         return out;
     }
 };
-
-/// Signed quorum element used by quorum certificates (HotStuff QCs).
-struct SignerSig {
-    NodeId replica = 0;
-    Bytes signature;
-};
-
-void put_signer_sigs(Writer& w, const std::vector<SignerSig>& sigs);
-std::vector<SignerSig> get_signer_sigs(Reader& r);
 
 // ---------------- Request / Reply ----------------
 
@@ -172,16 +171,6 @@ class Batcher {
     std::vector<Request> pending_;
 };
 
-/// Request-scoped "batch" spans: begin when the leader queues a request,
-/// end (for every request in the batch) at the seal. The critical-path
-/// analyzer reports the interval as the phase_batch wait. No-ops when
-/// tracing is off.
-void trace_batch_add(sim::ProcessingNode& node, const Request& req);
-void trace_batch_seal(sim::ProcessingNode& node, const std::vector<Request>& batch);
-
-/// Virtual cost of a seal decision, charged to the sealing node's meter.
-void charge_batch_seal(crypto::NodeCrypto& crypto);
-
 // ---------------- Execution probe ----------------
 
 /// Shared execute-side instrumentation for the baseline replicas: assigns a
@@ -215,6 +204,82 @@ class ExecProbe {
     obs::Auditor* auditor_ = nullptr;
     std::uint64_t next_slot_ = 0;
     bool equivocate_ = false;
+};
+
+// ---------------- Leader-replica core ----------------
+
+/// The part of a leader-based replica that every baseline shares: client
+/// intake with an at-most-once client table, the leader's batcher and its
+/// flush timer, execution with its CPU and MAC charges, the client reply,
+/// the checkpoint boundary rule and the shared metrics. A protocol derives
+/// from it and supplies its agreement phases through the hooks.
+class LeaderReplica : public sim::ProcessingNode {
+  public:
+    /// Replicated application (defaults to app::EchoApp).
+    void set_app(std::unique_ptr<app::StateMachine> app) { app_ = std::move(app); }
+    crypto::NodeCrypto& node_crypto() { return *crypto_; }
+    /// Report executed requests to the deployment's safety Auditor.
+    void set_auditor(obs::Auditor* a) { probe_.set_auditor(a); }
+    /// Byzantine strategy hook: audited execution digests diverge from the
+    /// honest replicas' (the auditor must flag divergent_commit).
+    void set_equivocate(bool on) { probe_.set_equivocate(on); }
+
+    std::uint64_t requests_executed() const { return requests_executed_; }
+    std::uint64_t checkpoints() const { return checkpoints_; }
+    /// Highest contiguously executed sequence number.
+    std::uint64_t executed_seq() const { return last_executed_; }
+
+    /// Publishes the shared counters, the protocol's own (publish_metrics)
+    /// and per-kind rx counts under `prefix` at every registry dump.
+    void register_metrics(obs::Registry& reg, const std::string& prefix);
+
+  protected:
+    LeaderReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
+
+    /// Drops empty packets and malformed ones (CodecError), takes client
+    /// requests and passes every other kind to on_message.
+    void handle(NodeId from, BytesView data) override;
+
+    /// A protocol message; `r` is positioned after the kind byte.
+    virtual void on_message(Kind kind, NodeId from, Reader& r) = 0;
+    /// Orders a batch the leader has just sealed.
+    virtual void order_batch(std::vector<Request> batch) = 0;
+    /// The answer to one executed request, which the client table caches
+    /// for retransmissions. Defaults to the MAC'd Reply.
+    virtual sim::Packet make_reply(const Request& req, Bytes result);
+    /// Publishes the protocol's own counters under `prefix`.
+    virtual void publish_metrics(obs::Registry& r, const std::string& prefix) const = 0;
+
+    bool is_primary() const { return cfg_.primary(view_) == id(); }
+
+    /// Executes a committed batch in order, skipping requests the client
+    /// table already answered, and replies to each client.
+    void execute_batch(const std::vector<Request>& batch);
+
+    /// The checkpoint boundary at or below last_executed_ when it is above
+    /// the stable checkpoint; 0 when no checkpoint is due or checkpoints
+    /// are off.
+    std::uint64_t due_checkpoint() const;
+
+    BaseConfig cfg_;
+    std::unique_ptr<crypto::NodeCrypto> crypto_;
+    std::uint64_t view_ = 0;
+    std::uint64_t next_seq_ = 1;       // leader's sequence counter
+    std::uint64_t last_executed_ = 0;  // highest contiguously executed seq
+    std::uint64_t stable_checkpoint_ = 0;
+    std::uint64_t checkpoints_ = 0;
+
+  private:
+    void on_request(NodeId from, Reader& r);
+    void seal_batch();
+
+    std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
+    ExecProbe probe_;
+    Batcher batcher_;
+    bool batch_timer_armed_ = false;
+    /// Per client: the last executed request id and its cached answer.
+    std::map<NodeId, std::pair<std::uint64_t, sim::Packet>> clients_;
+    std::uint64_t requests_executed_ = 0;
 };
 
 // ---------------- Generic client ----------------

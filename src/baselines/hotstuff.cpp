@@ -6,49 +6,14 @@
 
 namespace neo::baselines {
 
-HotStuffReplica::HotStuffReplica(HotStuffConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
-    : cfg_(cfg), crypto_(std::move(crypto)), batcher_(cfg.batch_policy()) {
-    set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
-}
+HotStuffReplica::HotStuffReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
+    : LeaderReplica(std::move(cfg), std::move(crypto)) {}
 
-void HotStuffReplica::handle(NodeId from, BytesView data) {
-    if (data.empty()) return;
-    try {
-        Reader r(data.subspan(1));
-        switch (static_cast<Kind>(data[0])) {
-            case Kind::kRequest: on_request(from, r); break;
-            case Kind::kHsProposal: on_proposal(from, r); break;
-            case Kind::kHsVote: on_vote(from, r); break;
-            default: break;
-        }
-    } catch (const CodecError&) {
-    }
-}
-
-void HotStuffReplica::on_request(NodeId from, Reader& r) {
-    Request req = Request::parse(r);
-    if (req.client != from) return;
-    auto it = clients_.find(req.client);
-    if (it != clients_.end() && req.request_id <= it->second.first) {
-        if (req.request_id == it->second.first && !it->second.second.empty()) {
-            send_to(req.client, it->second.second);
-        }
-        return;
-    }
-    if (!is_leader()) return;
-    if (!crypto_->check_mac_from(req.client, req.mac_body(), req.mac)) return;
-
-    trace_batch_add(*this, req);
-    batcher_.add(std::move(req));
-    if (batcher_.should_seal_by_size()) {
-        seal_batch();
-    } else if (!batch_timer_armed_) {
-        batch_timer_armed_ = true;
-        set_timer(batcher_.delay(), [this] {
-            batch_timer_armed_ = false;
-            if (!batcher_.empty()) seal_batch();
-        }, "batch_flush");
+void HotStuffReplica::on_message(Kind kind, NodeId from, Reader& r) {
+    switch (kind) {
+        case Kind::kHsProposal: on_proposal(from, r); break;
+        case Kind::kHsVote: on_vote(from, r); break;
+        default: break;
     }
 }
 
@@ -75,7 +40,7 @@ Bytes HotStuffReplica::proposal_body(int phase, std::uint64_t seq, const Digest3
 }
 
 bool HotStuffReplica::verify_qc(int phase, std::uint64_t seq, const Digest32& digest,
-                                const std::vector<SignerSig>& qc) {
+                                const std::vector<crypto::SignerSig>& qc) {
     std::set<NodeId> seen;
     std::size_t valid = 0;
     for (const auto& s : qc) {
@@ -88,11 +53,7 @@ bool HotStuffReplica::verify_qc(int phase, std::uint64_t seq, const Digest32& di
     return valid >= static_cast<std::size_t>(2 * cfg_.f + 1);
 }
 
-void HotStuffReplica::seal_batch() {
-    std::vector<Request> batch = batcher_.seal();
-    if (obs::TraceSink* tr = sim().trace()) tr->batch(sim().now(), id(), "seal_batch", batch.size());
-    trace_batch_seal(*this, batch);
-    charge_batch_seal(*crypto_);
+void HotStuffReplica::order_batch(std::vector<Request> batch) {
     std::uint64_t seq = next_seq_++;
     Digest32 digest = batch_digest(batch);
 
@@ -108,7 +69,7 @@ void HotStuffReplica::seal_batch() {
     w.u64(seq);
     w.raw(BytesView(digest.data(), digest.size()));
     put_batch(w, batch);
-    put_signer_sigs(w, {});  // no justify QC for the prepare phase
+    crypto::put_signer_sigs(w, {});  // no justify QC for the prepare phase
     w.blob(crypto_->sign(proposal_body(0, seq, digest)));
     broadcast(cfg_.others(id()), std::move(w).take());
 
@@ -125,7 +86,7 @@ void HotStuffReplica::on_proposal(NodeId from, Reader& r) {
     Digest32 digest = r.digest32();
     std::vector<Request> batch;
     if (phase == 0) batch = get_batch(r);
-    std::vector<SignerSig> qc = get_signer_sigs(r);
+    std::vector<crypto::SignerSig> qc = crypto::get_signer_sigs(r);
     Bytes sig = r.blob(256);
     r.expect_end();
 
@@ -177,7 +138,7 @@ void HotStuffReplica::on_vote(NodeId from, Reader& r) {
     Bytes sig = r.blob(256);
     r.expect_end();
 
-    if (view != view_ || !is_leader()) return;
+    if (view != view_ || !is_primary()) return;
     if (replica != from || !cfg_.is_replica(from)) return;
     if (phase < 0 || phase > 2) return;
     if (seq <= stable_checkpoint_) return;  // stale vote for a GC'd instance
@@ -195,7 +156,7 @@ void HotStuffReplica::leader_try_advance(std::uint64_t seq) {
         if (inst.votes[phase].size() < static_cast<std::size_t>(2 * cfg_.f + 1)) return;
         inst.qc_sent[phase] = true;
 
-        std::vector<SignerSig> qc;
+        std::vector<crypto::SignerSig> qc;
         for (const auto& [node, sig] : inst.votes[phase]) {
             qc.push_back({node, sig});
             if (qc.size() == static_cast<std::size_t>(2 * cfg_.f + 1)) break;
@@ -208,7 +169,7 @@ void HotStuffReplica::leader_try_advance(std::uint64_t seq) {
         w.u64(view_);
         w.u64(seq);
         w.raw(BytesView(inst.digest.data(), inst.digest.size()));
-        put_signer_sigs(w, qc);
+        crypto::put_signer_sigs(w, qc);
         w.blob(crypto_->sign(proposal_body(next_phase, seq, inst.digest)));
         broadcast(cfg_.others(id()), std::move(w).take());
 
@@ -230,32 +191,10 @@ void HotStuffReplica::try_execute() {
         Instance& inst = it->second;
         if (!inst.decided) break;
 
-        for (const Request& req : inst.batch) {
-            auto cit = clients_.find(req.client);
-            if (cit != clients_.end() && req.request_id <= cit->second.first) continue;
-            charge(sim::kPerBatchedRequestNs);
-            // Client authenticator (MAC-vector entry) verification: PBFT-
-            // lineage protocols verify one entry per request per replica.
-            crypto_->meter().macs++;
-            crypto_->meter().charge(crypto_->root().costs().mac_ns);
-            Bytes result = app_->execute(req.op);
-            charge(app_->execute_cost_ns(req.op));
-            app_->commit_prefix(++stats_.requests_executed);
-            probe_.on_execute(*this, req);
-
-            Reply reply;
-            reply.view = view_;
-            reply.replica = id();
-            reply.request_id = req.request_id;
-            reply.result = std::move(result);
-            reply.mac = crypto_->mac_for(req.client, reply.mac_body());
-            sim::Packet wire(reply.serialize());
-            clients_[req.client] = {req.request_id, wire};
-            send_to(req.client, std::move(wire));
-        }
+        execute_batch(inst.batch);
         inst.executed = true;
         ++last_executed_;
-        ++stats_.batches_decided;
+        ++batches_decided_;
         if (obs::TraceSink* tr = sim().trace()) {
             tr->phase(sim().now(), id(), "decide_batch", last_executed_);
         }
@@ -266,24 +205,15 @@ void HotStuffReplica::try_execute() {
 }
 
 void HotStuffReplica::maybe_checkpoint() {
-    if (cfg_.checkpoint_interval == 0) return;
-    std::uint64_t target =
-        (last_executed_ / cfg_.checkpoint_interval) * cfg_.checkpoint_interval;
-    if (target == 0 || target <= stable_checkpoint_) return;
+    std::uint64_t target = due_checkpoint();
+    if (target == 0) return;
     stable_checkpoint_ = target;
-    ++stats_.checkpoints;
+    ++checkpoints_;
     instances_.erase(instances_.begin(), instances_.upper_bound(target));
 }
 
-
-void HotStuffReplica::register_metrics(obs::Registry& reg, const std::string& prefix) {
-    reg.add_collector([this, prefix](obs::Registry& r) {
-        r.set_value(prefix + ".batches_decided", static_cast<double>(stats_.batches_decided));
-        r.set_value(prefix + ".requests_executed", static_cast<double>(stats_.requests_executed));
-        r.set_value(prefix + ".checkpoints", static_cast<double>(stats_.checkpoints));
-        r.set_value(prefix + ".executed_seq", static_cast<double>(last_executed_));
-    });
-    register_rx_metrics(reg, prefix, &kind_name);
+void HotStuffReplica::publish_metrics(obs::Registry& r, const std::string& prefix) const {
+    r.set_value(prefix + ".batches_decided", static_cast<double>(batches_decided_));
 }
 
 }  // namespace neo::baselines

@@ -13,40 +13,16 @@
 
 namespace neo::baselines {
 
-struct HotStuffConfig : BaseConfig {
-    /// Checkpoint cadence (sequence numbers): crossing a boundary advances
-    /// the stable floor, GCs instances below it and rejects stale
-    /// proposals/votes (which would otherwise recreate erased instances).
-    /// 0 disables.
-    std::uint64_t checkpoint_interval = 128;
-};
-
-class HotStuffReplica : public sim::ProcessingNode {
+class HotStuffReplica : public LeaderReplica {
   public:
-    HotStuffReplica(HotStuffConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
+    HotStuffReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
 
-    /// Replicated application (defaults to app::EchoApp).
-    void set_app(std::unique_ptr<app::StateMachine> app) { app_ = std::move(app); }
-
-    struct Stats {
-        std::uint64_t batches_decided = 0;
-        std::uint64_t requests_executed = 0;
-        std::uint64_t checkpoints = 0;
-    };
-    const Stats& stats() const { return stats_; }
-    /// Publishes protocol counters (and per-kind rx counts) under `prefix`
-    /// at every registry dump.
-    void register_metrics(obs::Registry& reg, const std::string& prefix);
-    crypto::NodeCrypto& node_crypto() { return *crypto_; }
-    /// Report executed requests to the deployment's safety Auditor.
-    void set_auditor(obs::Auditor* a) { probe_.set_auditor(a); }
-    /// Byzantine strategy hook: audited execution digests diverge from the
-    /// honest replicas' (the auditor must flag divergent_commit).
-    void set_equivocate(bool on) { probe_.set_equivocate(on); }
-    std::uint64_t stable_checkpoint() const { return stable_checkpoint_; }
+    std::uint64_t batches_decided() const { return batches_decided_; }
 
   protected:
-    void handle(NodeId from, BytesView data) override;
+    void on_message(Kind kind, NodeId from, Reader& r) override;
+    void order_batch(std::vector<Request> batch) override;
+    void publish_metrics(obs::Registry& r, const std::string& prefix) const override;
 
   private:
     // Phases: 0 = prepare, 1 = pre-commit, 2 = commit, 3 = decide.
@@ -60,9 +36,6 @@ class HotStuffReplica : public sim::ProcessingNode {
         bool executed = false;
     };
 
-    bool is_leader() const { return cfg_.primary(view_) == id(); }
-    void on_request(NodeId from, Reader& r);
-    void seal_batch();
     void on_proposal(NodeId from, Reader& r);
     void on_vote(NodeId from, Reader& r);
     void send_vote(std::uint64_t seq, int phase, const Digest32& digest);
@@ -73,21 +46,10 @@ class HotStuffReplica : public sim::ProcessingNode {
     Bytes vote_body(int phase, std::uint64_t seq, const Digest32& digest, NodeId replica) const;
     Bytes proposal_body(int phase, std::uint64_t seq, const Digest32& digest) const;
     bool verify_qc(int phase, std::uint64_t seq, const Digest32& digest,
-                   const std::vector<SignerSig>& qc);
+                   const std::vector<crypto::SignerSig>& qc);
 
-    HotStuffConfig cfg_;
-    std::unique_ptr<crypto::NodeCrypto> crypto_;
-    std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
-    std::uint64_t view_ = 0;
-    std::uint64_t next_seq_ = 1;
-    std::uint64_t last_executed_ = 0;
     std::map<std::uint64_t, Instance> instances_;
-    std::uint64_t stable_checkpoint_ = 0;
-    Batcher batcher_;
-    bool batch_timer_armed_ = false;
-    std::map<NodeId, std::pair<std::uint64_t, sim::Packet>> clients_;
-    Stats stats_;
-    ExecProbe probe_;
+    std::uint64_t batches_decided_ = 0;
 };
 
 }  // namespace neo::baselines

@@ -7,38 +7,28 @@
 
 namespace neo::baselines {
 
-MinbftReplica::MinbftReplica(MinbftConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
+MinbftReplica::MinbftReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
                              std::uint64_t usig_seed)
-    : cfg_(cfg), crypto_(std::move(crypto)), usig_(usig_seed, 0),
-      batcher_(cfg.batch_policy()) {
-    set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
-}
+    : LeaderReplica(std::move(cfg), std::move(crypto)), usig_(usig_seed, 0) {}
 
-void MinbftReplica::handle(NodeId from, BytesView data) {
-    if (data.empty()) return;
-    try {
-        Reader r(data.subspan(1));
-        switch (static_cast<Kind>(data[0])) {
-            case Kind::kRequest: on_request(from, r); break;
-            case Kind::kMbPrepare: on_prepare(from, r); break;
-            case Kind::kMbCommit: on_commit(from, r); break;
-            default: break;
-        }
-    } catch (const CodecError&) {
+void MinbftReplica::on_message(Kind kind, NodeId from, Reader& r) {
+    switch (kind) {
+        case Kind::kMbPrepare: on_prepare(from, r); break;
+        case Kind::kMbCommit: on_commit(from, r); break;
+        default: break;
     }
 }
 
 Usig::UI MinbftReplica::metered_create(const Digest32& digest) {
     usig_.set_owner(id());
-    charge(cfg_.usig_call_ns);
-    ++stats_.usig_calls;
+    charge(kUsigCallNs);
+    ++usig_calls_;
     return usig_.create(digest);
 }
 
 bool MinbftReplica::metered_verify(NodeId owner, const Digest32& digest, const Usig::UI& ui) {
-    charge(cfg_.usig_call_ns);
-    ++stats_.usig_calls;
+    charge(kUsigCallNs);
+    ++usig_calls_;
     return usig_.verify(owner, digest, ui);
 }
 
@@ -52,37 +42,7 @@ Digest32 MinbftReplica::prepare_digest(std::uint64_t view, std::uint64_t seq,
     return crypto::sha256(w.bytes());
 }
 
-void MinbftReplica::on_request(NodeId from, Reader& r) {
-    Request req = Request::parse(r);
-    if (req.client != from) return;
-    auto it = clients_.find(req.client);
-    if (it != clients_.end() && req.request_id <= it->second.first) {
-        if (req.request_id == it->second.first && !it->second.second.empty()) {
-            send_to(req.client, it->second.second);
-        }
-        return;
-    }
-    if (!is_primary()) return;
-    if (!crypto_->check_mac_from(req.client, req.mac_body(), req.mac)) return;
-
-    trace_batch_add(*this, req);
-    batcher_.add(std::move(req));
-    if (batcher_.should_seal_by_size()) {
-        seal_batch();
-    } else if (!batch_timer_armed_) {
-        batch_timer_armed_ = true;
-        set_timer(batcher_.delay(), [this] {
-            batch_timer_armed_ = false;
-            if (!batcher_.empty()) seal_batch();
-        }, "batch_flush");
-    }
-}
-
-void MinbftReplica::seal_batch() {
-    std::vector<Request> batch = batcher_.seal();
-    if (obs::TraceSink* tr = sim().trace()) tr->batch(sim().now(), id(), "seal_batch", batch.size());
-    trace_batch_seal(*this, batch);
-    charge_batch_seal(*crypto_);
+void MinbftReplica::order_batch(std::vector<Request> batch) {
     Digest32 bd = batch_digest(batch);
     std::uint64_t seq = next_seq_++;
     Usig::UI ui = metered_create(prepare_digest(view_, seq, bd));
@@ -182,32 +142,10 @@ void MinbftReplica::try_execute() {
             break;
         }
 
-        for (const Request& req : slot.batch) {
-            auto cit = clients_.find(req.client);
-            if (cit != clients_.end() && req.request_id <= cit->second.first) continue;
-            charge(sim::kPerBatchedRequestNs);
-            // Client authenticator (MAC-vector entry) verification: PBFT-
-            // lineage protocols verify one entry per request per replica.
-            crypto_->meter().macs++;
-            crypto_->meter().charge(crypto_->root().costs().mac_ns);
-            Bytes result = app_->execute(req.op);
-            charge(app_->execute_cost_ns(req.op));
-            app_->commit_prefix(++stats_.requests_executed);
-            probe_.on_execute(*this, req);
-
-            Reply reply;
-            reply.view = view_;
-            reply.replica = id();
-            reply.request_id = req.request_id;
-            reply.result = std::move(result);
-            reply.mac = crypto_->mac_for(req.client, reply.mac_body());
-            sim::Packet wire(reply.serialize());
-            clients_[req.client] = {req.request_id, wire};
-            send_to(req.client, std::move(wire));
-        }
+        execute_batch(slot.batch);
         slot.executed = true;
         ++last_executed_;
-        ++stats_.batches_committed;
+        ++batches_committed_;
         if (obs::TraceSink* tr = sim().trace()) {
             tr->phase(sim().now(), id(), "commit_batch", last_executed_);
         }
@@ -217,25 +155,16 @@ void MinbftReplica::try_execute() {
 }
 
 void MinbftReplica::maybe_checkpoint() {
-    if (cfg_.checkpoint_interval == 0) return;
-    std::uint64_t target =
-        (last_executed_ / cfg_.checkpoint_interval) * cfg_.checkpoint_interval;
-    if (target == 0 || target <= stable_checkpoint_) return;
+    std::uint64_t target = due_checkpoint();
+    if (target == 0) return;
     stable_checkpoint_ = target;
-    ++stats_.checkpoints;
+    ++checkpoints_;
     slots_.erase(slots_.begin(), slots_.upper_bound(target));
 }
 
-
-void MinbftReplica::register_metrics(obs::Registry& reg, const std::string& prefix) {
-    reg.add_collector([this, prefix](obs::Registry& r) {
-        r.set_value(prefix + ".batches_committed", static_cast<double>(stats_.batches_committed));
-        r.set_value(prefix + ".requests_executed", static_cast<double>(stats_.requests_executed));
-        r.set_value(prefix + ".usig_calls", static_cast<double>(stats_.usig_calls));
-        r.set_value(prefix + ".checkpoints", static_cast<double>(stats_.checkpoints));
-        r.set_value(prefix + ".executed_seq", static_cast<double>(last_executed_));
-    });
-    register_rx_metrics(reg, prefix, &kind_name);
+void MinbftReplica::publish_metrics(obs::Registry& r, const std::string& prefix) const {
+    r.set_value(prefix + ".batches_committed", static_cast<double>(batches_committed_));
+    r.set_value(prefix + ".usig_calls", static_cast<double>(usig_calls_));
 }
 
 }  // namespace neo::baselines

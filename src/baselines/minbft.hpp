@@ -76,48 +76,23 @@ class Usig {
     std::uint64_t counter_ = 0;
 };
 
-struct MinbftConfig : BaseConfig {
-    /// Virtual cost of one USIG call (enclave transition + in-enclave HMAC;
-    /// tens of microseconds on SGX-class hardware).
-    sim::Time usig_call_ns = 18'000;
-    /// Checkpoint cadence (sequence numbers): crossing a boundary advances
-    /// the stable floor, GCs slots below it and rejects stale
-    /// prepares/commits. 0 disables.
-    std::uint64_t checkpoint_interval = 128;
+/// Virtual cost of one USIG call: an enclave transition plus the
+/// in-enclave HMAC, tens of microseconds on SGX-class hardware.
+constexpr sim::Time kUsigCallNs = 18'000;
 
-    MinbftConfig() {
-        // MinBFT tolerates f faults with 2f+1 replicas.
-    }
-};
-
-class MinbftReplica : public sim::ProcessingNode {
+class MinbftReplica : public LeaderReplica {
   public:
-    MinbftReplica(MinbftConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
+    /// MinBFT tolerates f faults with 2f+1 replicas.
+    MinbftReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
                   std::uint64_t usig_seed);
 
-    /// Replicated application (defaults to app::EchoApp).
-    void set_app(std::unique_ptr<app::StateMachine> app) { app_ = std::move(app); }
-
-    struct Stats {
-        std::uint64_t batches_committed = 0;
-        std::uint64_t requests_executed = 0;
-        std::uint64_t usig_calls = 0;
-        std::uint64_t checkpoints = 0;
-    };
-    const Stats& stats() const { return stats_; }
-    /// Publishes protocol counters (and per-kind rx counts) under `prefix`
-    /// at every registry dump.
-    void register_metrics(obs::Registry& reg, const std::string& prefix);
-    crypto::NodeCrypto& node_crypto() { return *crypto_; }
-    /// Report executed requests to the deployment's safety Auditor.
-    void set_auditor(obs::Auditor* a) { probe_.set_auditor(a); }
-    /// Byzantine strategy hook: audited execution digests diverge from the
-    /// honest replicas' (the auditor must flag divergent_commit).
-    void set_equivocate(bool on) { probe_.set_equivocate(on); }
-    std::uint64_t stable_checkpoint() const { return stable_checkpoint_; }
+    std::uint64_t batches_committed() const { return batches_committed_; }
+    std::uint64_t usig_calls() const { return usig_calls_; }
 
   protected:
-    void handle(NodeId from, BytesView data) override;
+    void on_message(Kind kind, NodeId from, Reader& r) override;
+    void order_batch(std::vector<Request> batch) override;
+    void publish_metrics(obs::Registry& r, const std::string& prefix) const override;
 
   private:
     struct Slot {
@@ -129,9 +104,6 @@ class MinbftReplica : public sim::ProcessingNode {
         bool executed = false;
     };
 
-    bool is_primary() const { return cfg_.primary(view_) == id(); }
-    void on_request(NodeId from, Reader& r);
-    void seal_batch();
     void on_prepare(NodeId from, Reader& r);
     void on_commit(NodeId from, Reader& r);
     void try_execute();
@@ -140,21 +112,11 @@ class MinbftReplica : public sim::ProcessingNode {
     bool metered_verify(NodeId owner, const Digest32& digest, const Usig::UI& ui);
     Digest32 prepare_digest(std::uint64_t view, std::uint64_t seq, const Digest32& batch_d) const;
 
-    MinbftConfig cfg_;
-    std::unique_ptr<crypto::NodeCrypto> crypto_;
     Usig usig_;
-    std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
-    std::uint64_t view_ = 0;
-    std::uint64_t next_seq_ = 1;       // primary's batch sequence
-    std::uint64_t last_executed_ = 0;
     std::map<std::uint64_t, Slot> slots_;  // keyed by batch sequence
-    std::uint64_t stable_checkpoint_ = 0;
     std::map<NodeId, std::uint64_t> peer_counters_;  // sequentiality enforcement
-    Batcher batcher_;
-    bool batch_timer_armed_ = false;
-    std::map<NodeId, std::pair<std::uint64_t, sim::Packet>> clients_;
-    Stats stats_;
-    ExecProbe probe_;
+    std::uint64_t batches_committed_ = 0;
+    std::uint64_t usig_calls_ = 0;
 };
 
 }  // namespace neo::baselines

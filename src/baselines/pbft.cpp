@@ -6,52 +6,16 @@
 
 namespace neo::baselines {
 
-PbftReplica::PbftReplica(PbftConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
-    : cfg_(cfg), crypto_(std::move(crypto)), batcher_(cfg.batch_policy()) {
-    set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
-}
+PbftReplica::PbftReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
+    : LeaderReplica(std::move(cfg), std::move(crypto)) {}
 
-void PbftReplica::handle(NodeId from, BytesView data) {
-    if (data.empty()) return;
-    try {
-        Reader r(data.subspan(1));
-        switch (static_cast<Kind>(data[0])) {
-            case Kind::kRequest: on_request(from, r); break;
-            case Kind::kPrePrepare: on_preprepare(from, r); break;
-            case Kind::kPrepare: on_prepare(from, r); break;
-            case Kind::kCommit: on_commit(from, r); break;
-            case Kind::kCheckpoint: on_checkpoint(from, r); break;
-            default: break;
-        }
-    } catch (const CodecError&) {
-    }
-}
-
-void PbftReplica::on_request(NodeId from, Reader& r) {
-    Request req = Request::parse(r);
-    if (req.client != from) return;
-
-    auto it = clients_.find(req.client);
-    if (it != clients_.end() && req.request_id <= it->second.first) {
-        if (req.request_id == it->second.first && !it->second.second.empty()) {
-            send_to(req.client, it->second.second);
-        }
-        return;
-    }
-    if (!is_primary()) return;  // backups rely on the client retry/broadcast
-    if (!crypto_->check_mac_from(req.client, req.mac_body(), req.mac)) return;
-
-    trace_batch_add(*this, req);
-    batcher_.add(std::move(req));
-    if (batcher_.should_seal_by_size()) {
-        seal_batch();
-    } else if (!batch_timer_armed_) {
-        batch_timer_armed_ = true;
-        set_timer(batcher_.delay(), [this] {
-            batch_timer_armed_ = false;
-            if (!batcher_.empty()) seal_batch();
-        }, "batch_flush");
+void PbftReplica::on_message(Kind kind, NodeId from, Reader& r) {
+    switch (kind) {
+        case Kind::kPrePrepare: on_preprepare(from, r); break;
+        case Kind::kPrepare: on_prepare(from, r); break;
+        case Kind::kCommit: on_commit(from, r); break;
+        case Kind::kCheckpoint: on_checkpoint(from, r); break;
+        default: break;
     }
 }
 
@@ -75,11 +39,7 @@ Bytes PbftReplica::phase_body(std::string_view tag, std::uint64_t seq, const Dig
     return std::move(w).take();
 }
 
-void PbftReplica::seal_batch() {
-    std::vector<Request> batch = batcher_.seal();
-    if (obs::TraceSink* tr = sim().trace()) tr->batch(sim().now(), id(), "seal_batch", batch.size());
-    trace_batch_seal(*this, batch);
-    charge_batch_seal(*crypto_);
+void PbftReplica::order_batch(std::vector<Request> batch) {
     std::uint64_t seq = next_seq_++;
     Digest32 digest = batch_digest(batch);
 
@@ -200,10 +160,10 @@ void PbftReplica::try_execute() {
             it->second.commits.size() < static_cast<std::size_t>(2 * cfg_.f + 1)) {
             break;
         }
-        execute_batch(it->second);
+        execute_batch(it->second.batch);
         it->second.executed = true;
         ++last_executed_;
-        ++stats_.batches_committed;
+        ++batches_committed_;
         if (obs::TraceSink* tr = sim().trace()) {
             tr->phase(sim().now(), id(), "commit_batch", last_executed_);
         }
@@ -211,37 +171,9 @@ void PbftReplica::try_execute() {
     maybe_checkpoint();
 }
 
-void PbftReplica::execute_batch(Slot& slot) {
-    for (const Request& req : slot.batch) {
-        auto cit = clients_.find(req.client);
-        if (cit != clients_.end() && req.request_id <= cit->second.first) continue;
-
-        charge(sim::kPerBatchedRequestNs);
-        // Client authenticator (MAC-vector entry) verification: PBFT-
-        // lineage protocols verify one entry per request per replica.
-        crypto_->meter().macs++;
-        crypto_->meter().charge(crypto_->root().costs().mac_ns);
-        Bytes result = app_->execute(req.op);
-        charge(app_->execute_cost_ns(req.op));
-        app_->commit_prefix(++stats_.requests_executed);
-        probe_.on_execute(*this, req);
-
-        Reply reply;
-        reply.view = view_;
-        reply.replica = id();
-        reply.request_id = req.request_id;
-        reply.result = std::move(result);
-        reply.mac = crypto_->mac_for(req.client, reply.mac_body());
-        sim::Packet wire(reply.serialize());
-        clients_[req.client] = {req.request_id, wire};
-        send_to(req.client, std::move(wire));
-    }
-}
-
 void PbftReplica::maybe_checkpoint() {
-    std::uint64_t target = (last_executed_ / cfg_.checkpoint_interval) * cfg_.checkpoint_interval;
-    if (target == 0 || target <= stable_checkpoint_) return;
-    if (checkpoint_votes_[target].contains(id())) return;
+    std::uint64_t target = due_checkpoint();
+    if (target == 0 || checkpoint_votes_[target].contains(id())) return;
 
     Writer w(64);
     w.u8(static_cast<std::uint8_t>(Kind::kCheckpoint));
@@ -274,21 +206,14 @@ void PbftReplica::on_checkpoint_quorum(std::uint64_t seq) {
     if (seq <= stable_checkpoint_) return;
     if (checkpoint_votes_[seq].size() < static_cast<std::size_t>(2 * cfg_.f + 1)) return;
     stable_checkpoint_ = seq;
-    ++stats_.checkpoints;
+    ++checkpoints_;
     // Garbage-collect slots and votes at or below the stable checkpoint.
     slots_.erase(slots_.begin(), slots_.upper_bound(seq));
     checkpoint_votes_.erase(checkpoint_votes_.begin(), checkpoint_votes_.upper_bound(seq));
 }
 
-
-void PbftReplica::register_metrics(obs::Registry& reg, const std::string& prefix) {
-    reg.add_collector([this, prefix](obs::Registry& r) {
-        r.set_value(prefix + ".batches_committed", static_cast<double>(stats_.batches_committed));
-        r.set_value(prefix + ".requests_executed", static_cast<double>(stats_.requests_executed));
-        r.set_value(prefix + ".checkpoints", static_cast<double>(stats_.checkpoints));
-        r.set_value(prefix + ".executed_seq", static_cast<double>(last_executed_));
-    });
-    register_rx_metrics(reg, prefix, &kind_name);
+void PbftReplica::publish_metrics(obs::Registry& r, const std::string& prefix) const {
+    r.set_value(prefix + ".batches_committed", static_cast<double>(batches_committed_));
 }
 
 }  // namespace neo::baselines

@@ -10,50 +10,18 @@ namespace neo::baselines {
 
 // ---------------------------------------------------------------- Replica
 
-ZyzzyvaReplica::ZyzzyvaReplica(ZyzzyvaConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
-    : cfg_(cfg), crypto_(std::move(crypto)), batcher_(cfg.batch_policy()) {
-    set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
-}
+ZyzzyvaReplica::ZyzzyvaReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
+    : LeaderReplica(std::move(cfg), std::move(crypto)) {}
 
 void ZyzzyvaReplica::handle(NodeId from, BytesView data) {
-    if (silent_ || data.empty()) return;
-    try {
-        Reader r(data.subspan(1));
-        switch (static_cast<Kind>(data[0])) {
-            case Kind::kRequest: on_request(from, r); break;
-            case Kind::kOrderReq: on_order_req(from, r); break;
-            case Kind::kCommitCert: on_commit_cert(from, r); break;
-            default: break;
-        }
-    } catch (const CodecError&) {
-    }
+    if (!silent_) LeaderReplica::handle(from, data);
 }
 
-void ZyzzyvaReplica::on_request(NodeId from, Reader& r) {
-    Request req = Request::parse(r);
-    if (req.client != from) return;
-
-    auto it = clients_.find(req.client);
-    if (it != clients_.end() && req.request_id <= it->second.first) {
-        if (req.request_id == it->second.first && !it->second.second.empty()) {
-            send_to(req.client, it->second.second);
-        }
-        return;
-    }
-    if (!is_primary()) return;
-    if (!crypto_->check_mac_from(req.client, req.mac_body(), req.mac)) return;
-
-    trace_batch_add(*this, req);
-    batcher_.add(std::move(req));
-    if (batcher_.should_seal_by_size()) {
-        seal_batch();
-    } else if (!batch_timer_armed_) {
-        batch_timer_armed_ = true;
-        set_timer(batcher_.delay(), [this] {
-            batch_timer_armed_ = false;
-            if (!batcher_.empty()) seal_batch();
-        }, "batch_flush");
+void ZyzzyvaReplica::on_message(Kind kind, NodeId from, Reader& r) {
+    switch (kind) {
+        case Kind::kOrderReq: on_order_req(from, r); break;
+        case Kind::kCommitCert: on_commit_cert(from, r); break;
+        default: break;
     }
 }
 
@@ -68,11 +36,7 @@ Bytes ZyzzyvaReplica::order_body(std::uint64_t seq, const Digest32& history,
     return std::move(w).take();
 }
 
-void ZyzzyvaReplica::seal_batch() {
-    std::vector<Request> batch = batcher_.seal();
-    if (obs::TraceSink* tr = sim().trace()) tr->batch(sim().now(), id(), "seal_batch", batch.size());
-    trace_batch_seal(*this, batch);
-    charge_batch_seal(*crypto_);
+void ZyzzyvaReplica::order_batch(std::vector<Request> batch) {
     std::uint64_t seq = next_seq_++;
     Digest32 digest = batch_digest(batch);
     Digest32 new_history =
@@ -89,7 +53,7 @@ void ZyzzyvaReplica::seal_batch() {
     w.blob(crypto_->sign(order_body(seq, new_history, digest)));
     broadcast(cfg_.others(id()), std::move(w).take());
 
-    ++stats_.batches_ordered;
+    ++batches_ordered_;
     if (obs::TraceSink* tr = sim().trace()) tr->phase(sim().now(), id(), "order_batch", seq);
     execute_ordered(seq, std::move(batch));
 }
@@ -104,84 +68,69 @@ void ZyzzyvaReplica::on_order_req(NodeId from, Reader& r) {
     r.expect_end();
 
     if (view != view_ || from != cfg_.primary(view_)) return;
-    if (seq <= max_executed_ || seq <= stable_checkpoint_) return;
+    if (seq <= last_executed_ || seq <= stable_checkpoint_) return;
     if (batch_digest(batch) != digest) return;
     if (!crypto_->verify(from, order_body(seq, history, digest), sig)) return;
 
     pending_[seq] = {digest, std::move(batch)};
     // Execute contiguously in order (speculation requires gap-free history).
     while (true) {
-        auto it = pending_.find(max_executed_ + 1);
+        auto it = pending_.find(last_executed_ + 1);
         if (it == pending_.end()) break;
         // Verify the primary's history chain.
         Digest32 expect = crypto::sha256_pair(BytesView(history_.data(), history_.size()),
                                               BytesView(it->second.first.data(), 32));
-        if (max_executed_ + 1 == seq && expect != history) {
+        if (last_executed_ + 1 == seq && expect != history) {
             pending_.erase(it);
             return;  // primary equivocated on history; drop
         }
         std::vector<Request> b = std::move(it->second.second);
         pending_.erase(it);
-        execute_ordered(max_executed_ + 1, std::move(b));
+        execute_ordered(last_executed_ + 1, std::move(b));
     }
 }
 
 void ZyzzyvaReplica::execute_ordered(std::uint64_t seq, std::vector<Request> batch) {
-    NEO_ASSERT(seq == max_executed_ + 1);
+    NEO_ASSERT(seq == last_executed_ + 1);
     Digest32 digest = batch_digest(batch);
     history_ = crypto::sha256_pair(BytesView(history_.data(), history_.size()),
                                    BytesView(digest.data(), digest.size()));
     history_at_[seq] = history_;
-    max_executed_ = seq;
+    last_executed_ = seq;
 
-    for (const Request& req : batch) {
-        auto cit = clients_.find(req.client);
-        if (cit != clients_.end() && req.request_id <= cit->second.first) continue;
-        charge(sim::kPerBatchedRequestNs);
-        // Client authenticator (MAC-vector entry) verification: PBFT-
-        // lineage protocols verify one entry per request per replica.
-        crypto_->meter().macs++;
-        crypto_->meter().charge(crypto_->root().costs().mac_ns);
-        Bytes result = app_->execute(req.op);
-        charge(app_->execute_cost_ns(req.op));
-        app_->commit_prefix(++stats_.requests_executed);
-        probe_.on_execute(*this, req);
-
-        // Speculative response: carries (view, seq, history) so the client
-        // can detect divergence; MAC-authenticated to the client.
-        Writer w(160 + result.size());
-        w.u8(static_cast<std::uint8_t>(Kind::kSpecResponse));
-        w.u64(view_);
-        w.u64(seq);
-        w.raw(BytesView(history_.data(), history_.size()));
-        w.u32(id());
-        w.u64(req.request_id);
-        w.blob(result);
-        Writer body(96 + result.size());
-        body.str("zyzzyva-spec");
-        body.u64(view_);
-        body.u64(seq);
-        body.raw(BytesView(history_.data(), history_.size()));
-        body.u64(req.request_id);
-        body.blob(result);
-        w.blob(crypto_->mac_for(req.client, body.bytes()));
-        sim::Packet wire(std::move(w).take());
-        clients_[req.client] = {req.request_id, wire};
-        send_to(req.client, std::move(wire));
-    }
-
+    execute_batch(batch);
     maybe_checkpoint();
     // Backstop when checkpointing is disabled: bound the history anchors.
     while (history_at_.size() > 8'192) history_at_.erase(history_at_.begin());
 }
 
+sim::Packet ZyzzyvaReplica::make_reply(const Request& req, Bytes result) {
+    // execute_ordered sets last_executed_ to the batch's seq before it runs.
+    const std::uint64_t seq = last_executed_;
+    Writer w(160 + result.size());
+    w.u8(static_cast<std::uint8_t>(Kind::kSpecResponse));
+    w.u64(view_);
+    w.u64(seq);
+    w.raw(BytesView(history_.data(), history_.size()));
+    w.u32(id());
+    w.u64(req.request_id);
+    w.blob(result);
+    Writer body(96 + result.size());
+    body.str("zyzzyva-spec");
+    body.u64(view_);
+    body.u64(seq);
+    body.raw(BytesView(history_.data(), history_.size()));
+    body.u64(req.request_id);
+    body.blob(result);
+    w.blob(crypto_->mac_for(req.client, body.bytes()));
+    return sim::Packet(std::move(w).take());
+}
+
 void ZyzzyvaReplica::maybe_checkpoint() {
-    if (cfg_.checkpoint_interval == 0) return;
-    std::uint64_t target =
-        (max_executed_ / cfg_.checkpoint_interval) * cfg_.checkpoint_interval;
-    if (target == 0 || target <= stable_checkpoint_) return;
+    std::uint64_t target = due_checkpoint();
+    if (target == 0) return;
     stable_checkpoint_ = target;
-    ++stats_.checkpoints;
+    ++checkpoints_;
     // Keep one interval of history anchors below the floor so slow-path
     // commit certificates for just-checkpointed seqs still resolve.
     std::uint64_t keep_above =
@@ -217,12 +166,17 @@ void ZyzzyvaReplica::on_commit_cert(NodeId from, Reader& r) {
     body.u64(request_id);
     w.blob(crypto_->mac_for(from, body.bytes()));
     send_to(from, std::move(w).take());
-    ++stats_.local_commits;
+    ++local_commits_;
+}
+
+void ZyzzyvaReplica::publish_metrics(obs::Registry& r, const std::string& prefix) const {
+    r.set_value(prefix + ".batches_ordered", static_cast<double>(batches_ordered_));
+    r.set_value(prefix + ".local_commits", static_cast<double>(local_commits_));
 }
 
 // ---------------------------------------------------------------- Client
 
-ZyzzyvaClient::ZyzzyvaClient(ZyzzyvaConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
+ZyzzyvaClient::ZyzzyvaClient(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
                              Options opts)
     : cfg_(cfg), crypto_(std::move(crypto)), opts_(opts) {
     set_meter(&crypto_->meter());
@@ -395,18 +349,6 @@ void ZyzzyvaClient::complete(Bytes result, NodeId peer) {
     cancel_timer(outstanding_->retry_timer);
     outstanding_.reset();
     cb(std::move(result));
-}
-
-
-void ZyzzyvaReplica::register_metrics(obs::Registry& reg, const std::string& prefix) {
-    reg.add_collector([this, prefix](obs::Registry& r) {
-        r.set_value(prefix + ".batches_ordered", static_cast<double>(stats_.batches_ordered));
-        r.set_value(prefix + ".requests_executed", static_cast<double>(stats_.requests_executed));
-        r.set_value(prefix + ".local_commits", static_cast<double>(stats_.local_commits));
-        r.set_value(prefix + ".checkpoints", static_cast<double>(stats_.checkpoints));
-        r.set_value(prefix + ".executed_seq", static_cast<double>(max_executed_));
-    });
-    register_rx_metrics(reg, prefix, &kind_name);
 }
 
 }  // namespace neo::baselines

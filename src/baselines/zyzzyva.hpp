@@ -13,37 +13,12 @@
 
 namespace neo::baselines {
 
-struct ZyzzyvaConfig : BaseConfig {
-    /// Checkpoint cadence (sequence numbers): crossing a boundary advances
-    /// the stable floor, GCs history anchors / pending batches below it and
-    /// rejects stale ordering messages. 0 disables.
-    std::uint64_t checkpoint_interval = 128;
-};
-
-class ZyzzyvaReplica : public sim::ProcessingNode {
+class ZyzzyvaReplica : public LeaderReplica {
   public:
-    ZyzzyvaReplica(ZyzzyvaConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
+    ZyzzyvaReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
 
-    /// Replicated application (defaults to app::EchoApp).
-    void set_app(std::unique_ptr<app::StateMachine> app) { app_ = std::move(app); }
-
-    struct Stats {
-        std::uint64_t batches_ordered = 0;
-        std::uint64_t requests_executed = 0;
-        std::uint64_t local_commits = 0;
-        std::uint64_t checkpoints = 0;
-    };
-    const Stats& stats() const { return stats_; }
-    /// Publishes protocol counters (and per-kind rx counts) under `prefix`
-    /// at every registry dump.
-    void register_metrics(obs::Registry& reg, const std::string& prefix);
-    crypto::NodeCrypto& node_crypto() { return *crypto_; }
-    /// Report executed requests to the deployment's safety Auditor.
-    void set_auditor(obs::Auditor* a) { probe_.set_auditor(a); }
-    /// Byzantine strategy hook: audited execution digests diverge from the
-    /// honest replicas' (the auditor must flag divergent_commit).
-    void set_equivocate(bool on) { probe_.set_equivocate(on); }
-    std::uint64_t stable_checkpoint() const { return stable_checkpoint_; }
+    std::uint64_t batches_ordered() const { return batches_ordered_; }
+    std::uint64_t local_commits() const { return local_commits_; }
 
     /// Zyzzyva-F: the replica stops responding (but the protocol's safety
     /// must be unaffected).
@@ -51,11 +26,14 @@ class ZyzzyvaReplica : public sim::ProcessingNode {
 
   protected:
     void handle(NodeId from, BytesView data) override;
+    void on_message(Kind kind, NodeId from, Reader& r) override;
+    void order_batch(std::vector<Request> batch) override;
+    /// The speculative response: (view, seq, history) lets the client
+    /// detect divergence; MAC-authenticated to the client.
+    sim::Packet make_reply(const Request& req, Bytes result) override;
+    void publish_metrics(obs::Registry& r, const std::string& prefix) const override;
 
   private:
-    bool is_primary() const { return cfg_.primary(view_) == id(); }
-    void on_request(NodeId from, Reader& r);
-    void seal_batch();
     void on_order_req(NodeId from, Reader& r);
     void execute_ordered(std::uint64_t seq, std::vector<Request> batch);
     void on_commit_cert(NodeId from, Reader& r);
@@ -63,23 +41,13 @@ class ZyzzyvaReplica : public sim::ProcessingNode {
 
     Bytes order_body(std::uint64_t seq, const Digest32& history, const Digest32& digest) const;
 
-    ZyzzyvaConfig cfg_;
-    std::unique_ptr<crypto::NodeCrypto> crypto_;
-    std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
-    std::uint64_t view_ = 0;
-    std::uint64_t next_seq_ = 1;       // primary
-    std::uint64_t max_executed_ = 0;   // highest executed seq (contiguous)
-    Digest32 history_{};               // hash chain over ordered batches
-    Batcher batcher_;
-    bool batch_timer_armed_ = false;
+    Digest32 history_{};  // hash chain over ordered batches
     bool silent_ = false;
 
     std::map<std::uint64_t, std::pair<Digest32, std::vector<Request>>> pending_;  // ooo batches
-    std::map<NodeId, std::pair<std::uint64_t, sim::Packet>> clients_;
     std::map<std::uint64_t, Digest32> history_at_;  // seq -> history hash after seq
-    std::uint64_t stable_checkpoint_ = 0;
-    Stats stats_;
-    ExecProbe probe_;
+    std::uint64_t batches_ordered_ = 0;
+    std::uint64_t local_commits_ = 0;
 };
 
 struct ZyzzyvaClientOptions {
@@ -95,7 +63,7 @@ class ZyzzyvaClient : public sim::ProcessingNode {
     using Callback = std::function<void(Bytes result)>;
     using Options = ZyzzyvaClientOptions;
 
-    ZyzzyvaClient(ZyzzyvaConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
+    ZyzzyvaClient(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
                   Options opts = {});
 
     void invoke(Bytes op, Callback cb);
@@ -132,7 +100,7 @@ class ZyzzyvaClient : public sim::ProcessingNode {
     void start_slow_path();
     void complete(Bytes result, NodeId peer);
 
-    ZyzzyvaConfig cfg_;
+    BaseConfig cfg_;
     std::unique_ptr<crypto::NodeCrypto> crypto_;
     Options opts_;
     std::uint64_t next_request_id_ = 1;

@@ -36,7 +36,8 @@
 //
 // Host-time only: callers charge virtual CostMeter time per item exactly
 // as for one-at-a-time verification, so simulated results are
-// byte-identical whether batching is on or off (see HostCryptoTuning).
+// byte-identical whether a batch or single verifications settle a set
+// (see NodeCrypto::verify_batch).
 #pragma once
 
 #include <cstdint>

@@ -21,9 +21,27 @@ Bytes master_secret_from_seed(std::uint64_t seed) {
 
 }  // namespace
 
-HostCryptoTuning& host_crypto_tuning() {
-    static HostCryptoTuning tuning;
-    return tuning;
+void put_signer_sigs(Writer& w, const std::vector<SignerSig>& sigs) {
+    w.u32(static_cast<std::uint32_t>(sigs.size()));
+    for (const auto& s : sigs) {
+        w.u32(s.replica);
+        w.blob(s.signature);
+    }
+}
+
+std::vector<SignerSig> get_signer_sigs(Reader& r) {
+    constexpr std::uint32_t kMaxQuorum = 512;
+    std::uint32_t n = r.u32();
+    if (n > kMaxQuorum) throw CodecError("oversized quorum");
+    std::vector<SignerSig> sigs;
+    sigs.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        SignerSig s;
+        s.replica = r.u32();
+        s.signature = r.blob(256);
+        sigs.push_back(std::move(s));
+    }
+    return sigs;
 }
 
 TrustRoot::TrustRoot(CryptoMode mode, std::uint64_t seed, CryptoCosts costs)
@@ -124,18 +142,16 @@ bool TrustRoot::verify_unmetered(NodeId signer, BytesView msg, BytesView sig) co
     if (mode_ == CryptoMode::kModeled) {
         return ct_equal(modeled_sign(signer, msg), sig);
     }
-    auto it = public_keys_.find(signer);
-    if (it == public_keys_.end()) return false;
+    // Every provisioned signer has a table (see provision).
+    const QTable* table = signer_table(signer);
+    if (table == nullptr) return false;
     auto parsed = EcdsaSignature::parse(sig);
     if (!parsed) return false;
     Digest32 digest = sha256(msg);
-    const bool use_memo = host_crypto_tuning().shared_memo.load(std::memory_order_relaxed);
     bool ok = false;
-    if (use_memo && memo_find(signer, digest, sig, &ok)) return ok;
-    const QTable* table = use_memo ? signer_table(signer) : nullptr;
-    ok = table != nullptr ? ecdsa_verify_with(*table, digest, *parsed)
-                          : ecdsa_verify(it->second, digest, *parsed);
-    if (use_memo) memo_insert(signer, digest, sig, ok);
+    if (memo_find(signer, digest, sig, &ok)) return ok;
+    ok = ecdsa_verify_with(*table, digest, *parsed);
+    memo_insert(signer, digest, sig, ok);
     return ok;
 }
 
@@ -182,9 +198,7 @@ std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) 
         meter_.charge_async(root_->costs().ecdsa_verify_ns);
     }
 
-    const bool batch = root_->mode_ == CryptoMode::kReal && items.size() > 1 &&
-                       host_crypto_tuning().batch_verify.load(std::memory_order_relaxed);
-    if (!batch) {
+    if (root_->mode_ != CryptoMode::kReal || items.size() < 2) {
         std::vector<bool> out;
         out.reserve(items.size());
         for (const auto& item : items) {
@@ -196,7 +210,6 @@ std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) 
     // Resolve each item: structural rejects and memo hits settle now; the
     // remainder becomes one shared-precomputation batch with the signers'
     // provision-time wNAF tables.
-    const bool use_memo = host_crypto_tuning().shared_memo.load(std::memory_order_relaxed);
     std::vector<bool> out(items.size(), false);
     std::vector<BatchVerifyItem> pending;
     std::vector<std::size_t> pending_idx;
@@ -210,7 +223,7 @@ std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) 
         if (!parsed) continue;
         Digest32 digest = sha256(item.msg);
         bool memoed = false;
-        if (use_memo && root_->memo_find(item.signer, digest, item.sig, &memoed)) {
+        if (root_->memo_find(item.signer, digest, item.sig, &memoed)) {
             out[i] = memoed;
             continue;
         }
@@ -225,9 +238,7 @@ std::vector<bool> NodeCrypto::verify_batch(const std::vector<BatchItem>& items) 
         for (std::size_t j = 0; j < pending.size(); ++j) {
             std::size_t i = pending_idx[j];
             out[i] = verdicts[j];
-            if (use_memo) {
-                root_->memo_insert(pending_signer[j], pending[j].digest, items[i].sig, verdicts[j]);
-            }
+            root_->memo_insert(pending_signer[j], pending[j].digest, items[i].sig, verdicts[j]);
         }
     }
     return out;

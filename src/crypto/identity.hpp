@@ -25,13 +25,13 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "common/types.hpp"
 #include "crypto/batch_verify.hpp"
 #include "crypto/cost.hpp"
 #include "crypto/hmac_sha256.hpp"
 #include "crypto/secp256k1.hpp"
 #include "crypto/siphash.hpp"
-#include "crypto/tuning.hpp"
 #include "crypto/verify_memo.hpp"
 
 namespace neo::crypto {
@@ -43,6 +43,19 @@ enum class CryptoMode { kReal, kModeled };
 constexpr std::size_t kSignatureSize = 64;
 /// Byte size of a pairwise MAC tag.
 constexpr std::size_t kMacSize = 8;
+
+/// One replica's signature inside a quorum certificate.
+struct SignerSig {
+    NodeId replica = 0;
+    Bytes signature;
+
+    friend bool operator==(const SignerSig&, const SignerSig&) = default;
+};
+
+/// Wire form of a quorum: a u32 count, then (replica, signature blob)
+/// pairs. Decoding rejects more than 512 entries.
+void put_signer_sigs(Writer& w, const std::vector<SignerSig>& sigs);
+std::vector<SignerSig> get_signer_sigs(Reader& r);
 
 class NodeCrypto;
 
@@ -102,11 +115,11 @@ class TrustRoot {
     /// the EC math once per process where per-node tables paid it once per
     /// node and almost never hit. Mutex-sharded because parallel partitions
     /// hit it concurrently; a lookup costs one short critical section.
-    /// Host-time only: each node still charges full virtual cost, so
-    /// simulated results are identical with the memo on or off
-    /// (HostCryptoTuning::shared_memo). Returns true and fills *valid on a
-    /// hit. The verdict is copied out under the shard lock — never a
-    /// pointer into the shard, which a concurrent insert could recycle.
+    /// Host-time only: each node still charges full virtual cost, so a
+    /// hit and a miss cost the simulation the same. Returns true and fills
+    /// *valid on a hit. The verdict is copied out under the shard lock —
+    /// never a pointer into the shard, which a concurrent insert could
+    /// recycle.
     bool memo_find(NodeId signer, const Digest32& digest, BytesView sig, bool* valid) const;
     void memo_insert(NodeId signer, const Digest32& digest, BytesView sig, bool valid) const;
 

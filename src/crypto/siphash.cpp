@@ -1,7 +1,6 @@
 #include "crypto/siphash.hpp"
 
 #include "common/assert.hpp"
-#include "crypto/tuning.hpp"
 
 namespace neo::crypto {
 
@@ -158,7 +157,7 @@ std::uint64_t halfsiphash24_64(const HalfSipKey& key, BytesView data) {
 
 void halfsiphash24_x4(const HalfSipKey keys[4], BytesView data, std::uint32_t out[4]) {
     static const bool simd = detail::halfsiphash_x4_simd_available();
-    if (simd && host_crypto_tuning().simd_siphash.load(std::memory_order_relaxed)) {
+    if (simd) {
         detail::halfsiphash24_x4_simd(keys, data, out);
         return;
     }

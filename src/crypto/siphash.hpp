@@ -47,9 +47,9 @@ std::uint64_t halfsiphash24_64(const HalfSipKey& key, BytesView data);
 /// Four HalfSipHash-2-4 MACs over the SAME input under four DIFFERENT keys
 /// — the shape of the sequencer's per-subgroup MAC vector (kHmSubgroupSize
 /// is 4). Dispatches at runtime to a 4-lane SSE2 kernel when the host
-/// supports it and HostCryptoTuning::simd_siphash is on; falls back to four
-/// scalar calls. Output is bit-identical to four halfsiphash24 calls on
-/// every path (asserted by tests/crypto/test_siphash.cpp).
+/// supports it; falls back to four scalar calls. Output is bit-identical to
+/// four halfsiphash24 calls on every path (asserted by
+/// tests/crypto/test_siphash.cpp).
 void halfsiphash24_x4(const HalfSipKey keys[4], BytesView data, std::uint32_t out[4]);
 
 namespace detail {

@@ -60,28 +60,6 @@ ViewId get_view(Reader& r) {
     return v;
 }
 
-void put_signer_sigs(Writer& w, const std::vector<SignerSig>& sigs) {
-    w.u32(static_cast<std::uint32_t>(sigs.size()));
-    for (const auto& s : sigs) {
-        w.u32(s.replica);
-        w.blob(s.signature);
-    }
-}
-
-std::vector<SignerSig> get_signer_sigs(Reader& r) {
-    std::uint32_t n = r.u32();
-    if (n > kMaxQuorum) throw CodecError("oversized quorum");
-    std::vector<SignerSig> sigs;
-    sigs.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        SignerSig s;
-        s.replica = r.u32();
-        s.signature = r.blob(256);
-        sigs.push_back(std::move(s));
-    }
-    return sigs;
-}
-
 // ---------------- Request ----------------
 
 Bytes Request::signed_body() const {

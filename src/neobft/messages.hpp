@@ -10,6 +10,7 @@
 #include "aom/cert.hpp"
 #include "common/codec.hpp"
 #include "common/types.hpp"
+#include "crypto/identity.hpp"
 
 namespace neo::neobft {
 
@@ -59,16 +60,9 @@ struct ViewId {
 void put_view(Writer& w, const ViewId& v);
 ViewId get_view(Reader& r);
 
-/// Signed quorum element: (replica, signature).
-struct SignerSig {
-    NodeId replica = 0;
-    Bytes signature;
-
-    friend bool operator==(const SignerSig&, const SignerSig&) = default;
-};
-
-void put_signer_sigs(Writer& w, const std::vector<SignerSig>& sigs);
-std::vector<SignerSig> get_signer_sigs(Reader& r);
+using crypto::get_signer_sigs;
+using crypto::put_signer_sigs;
+using crypto::SignerSig;
 
 // ---------------------------------------------------------------- Request
 

@@ -7,37 +7,7 @@
 namespace neo::baselines {
 namespace {
 
-struct HotStuffDeployment {
-    explicit HotStuffDeployment(int n = 4, HotStuffConfig base = {})
-        : net(sim, 81), root(crypto::CryptoMode::kReal, 8) {
-        net.set_default_link(sim::datacenter_link());
-        cfg = base;
-        cfg.f = (n - 1) / 3;
-        for (int i = 0; i < n; ++i) cfg.replicas.push_back(testutil::kReplicaBase + static_cast<NodeId>(i));
-        for (int i = 0; i < n; ++i) {
-            NodeId rid = testutil::kReplicaBase + static_cast<NodeId>(i);
-            auto rep = std::make_unique<HotStuffReplica>(cfg, root.provision(rid));
-            net.add_node(*rep, rid);
-            replicas.push_back(std::move(rep));
-        }
-    }
-
-    QuorumClient& add_client() {
-        NodeId cid = testutil::kClientBase + static_cast<NodeId>(clients.size());
-        auto c = std::make_unique<QuorumClient>(cfg, root.provision(cid),
-                                                static_cast<std::size_t>(cfg.f + 1));
-        net.add_node(*c, cid);
-        clients.push_back(std::move(c));
-        return *clients.back();
-    }
-
-    sim::Simulator sim;
-    sim::Network net;
-    crypto::TrustRoot root;
-    HotStuffConfig cfg;
-    std::vector<std::unique_ptr<HotStuffReplica>> replicas;
-    std::vector<std::unique_ptr<QuorumClient>> clients;
-};
+using HotStuffDeployment = testutil::Deployment<HotStuffReplica>;
 
 TEST(HotStuff, SingleRequestDecides) {
     HotStuffDeployment d;
@@ -48,8 +18,8 @@ TEST(HotStuff, SingleRequestDecides) {
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0], "op-0-0");
     for (auto& rep : d.replicas) {
-        EXPECT_EQ(rep->stats().batches_decided, 1u);
-        EXPECT_EQ(rep->stats().requests_executed, 1u);
+        EXPECT_EQ(rep->batches_decided(), 1u);
+        EXPECT_EQ(rep->requests_executed(), 1u);
     }
 }
 
@@ -66,7 +36,7 @@ TEST(HotStuff, SequentialWorkload) {
 }
 
 TEST(HotStuff, MultipleClientsBatch) {
-    HotStuffConfig base;
+    BaseConfig base;
     base.batch_max = 8;
     HotStuffDeployment d(4, base);
     std::vector<std::vector<std::string>> results(8);
@@ -76,7 +46,7 @@ TEST(HotStuff, MultipleClientsBatch) {
     }
     d.sim.run_until(30 * sim::kSecond);
     for (const auto& r : results) EXPECT_EQ(r.size(), 5u);
-    EXPECT_LT(d.replicas[0]->stats().batches_decided, 40u);
+    EXPECT_LT(d.replicas[0]->batches_decided(), 40u);
 }
 
 TEST(HotStuff, ToleratesSilentFollower) {

@@ -8,37 +8,7 @@
 namespace neo::baselines {
 namespace {
 
-struct MinbftDeployment {
-    explicit MinbftDeployment(int n = 3, MinbftConfig base = {})
-        : net(sim, 83), root(crypto::CryptoMode::kReal, 9) {
-        net.set_default_link(sim::datacenter_link());
-        cfg = base;
-        cfg.f = (n - 1) / 2;  // MinBFT: n = 2f+1
-        for (int i = 0; i < n; ++i) cfg.replicas.push_back(testutil::kReplicaBase + static_cast<NodeId>(i));
-        for (int i = 0; i < n; ++i) {
-            NodeId rid = testutil::kReplicaBase + static_cast<NodeId>(i);
-            auto rep = std::make_unique<MinbftReplica>(cfg, root.provision(rid), /*usig_seed=*/55);
-            net.add_node(*rep, rid);
-            replicas.push_back(std::move(rep));
-        }
-    }
-
-    QuorumClient& add_client() {
-        NodeId cid = testutil::kClientBase + static_cast<NodeId>(clients.size());
-        auto c = std::make_unique<QuorumClient>(cfg, root.provision(cid),
-                                                static_cast<std::size_t>(cfg.f + 1));
-        net.add_node(*c, cid);
-        clients.push_back(std::move(c));
-        return *clients.back();
-    }
-
-    sim::Simulator sim;
-    sim::Network net;
-    crypto::TrustRoot root;
-    MinbftConfig cfg;
-    std::vector<std::unique_ptr<MinbftReplica>> replicas;
-    std::vector<std::unique_ptr<QuorumClient>> clients;
-};
+using MinbftDeployment = testutil::Deployment<MinbftReplica>;
 
 TEST(Usig, CreatesMonotonicSequentialCounters) {
     Usig usig(1, 42);
@@ -76,7 +46,7 @@ TEST(Minbft, SingleRequestCommitsWithThreeReplicas) {
     d.sim.run_until(sim::kSecond);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0], "op-0-0");
-    for (auto& rep : d.replicas) EXPECT_EQ(rep->stats().requests_executed, 1u);
+    for (auto& rep : d.replicas) EXPECT_EQ(rep->requests_executed(), 1u);
 }
 
 TEST(Minbft, SequentialWorkload) {
@@ -96,7 +66,7 @@ TEST(Minbft, UsigCallsCharged) {
     d.sim.run_until(10 * sim::kSecond);
     ASSERT_EQ(results.size(), 4u);
     // Primary: 2 creates per batch (+commit verifies); backups: >= 2 calls.
-    for (auto& rep : d.replicas) EXPECT_GE(rep->stats().usig_calls, 4u);
+    for (auto& rep : d.replicas) EXPECT_GE(rep->usig_calls(), 4u);
 }
 
 TEST(Minbft, ToleratesCrashedBackupWithFivereplicas) {
@@ -121,7 +91,7 @@ TEST(Minbft, ForgedPrepareRejected) {
     req.op = to_bytes("forged");
     batch.push_back(req);
 
-    Usig rogue(55, 2);  // replica 2's own USIG
+    Usig rogue(testutil::kUsigSeed, 2);  // replica 2's own USIG
     Digest32 bd = batch_digest(batch);
     Writer pd(56);
     pd.str("minbft-prepare");
@@ -139,7 +109,7 @@ TEST(Minbft, ForgedPrepareRejected) {
     // Spoof: sent from node 2 but prepares must come from the primary (1).
     d.net.send(2, 3, std::move(w).take());
     d.sim.run_until(sim::kSecond);
-    EXPECT_EQ(d.replicas[2]->stats().requests_executed, 0u);
+    EXPECT_EQ(d.replicas[2]->requests_executed(), 0u);
 }
 
 TEST(Minbft, ReplayedPrepareRejected) {
@@ -159,10 +129,10 @@ TEST(Minbft, ReplayedPrepareRejected) {
     ASSERT_EQ(results.size(), 2u);
     ASSERT_FALSE(captured.empty());
 
-    std::uint64_t before = d.replicas[1]->stats().requests_executed;
+    std::uint64_t before = d.replicas[1]->requests_executed();
     d.net.send(1, 2, captured);  // replay the first prepare
     d.sim.run_until(d.sim.now() + sim::kSecond);
-    EXPECT_EQ(d.replicas[1]->stats().requests_executed, before);
+    EXPECT_EQ(d.replicas[1]->requests_executed(), before);
 }
 
 }  // namespace

@@ -9,37 +9,7 @@ namespace {
 
 using testutil::drive;
 
-struct PbftDeployment {
-    explicit PbftDeployment(int n = 4, PbftConfig base = {})
-        : net(sim, 77), root(crypto::CryptoMode::kReal, 5) {
-        net.set_default_link(sim::datacenter_link());
-        cfg = base;
-        cfg.f = (n - 1) / 3;
-        for (int i = 0; i < n; ++i) cfg.replicas.push_back(testutil::kReplicaBase + static_cast<NodeId>(i));
-        for (int i = 0; i < n; ++i) {
-            NodeId rid = testutil::kReplicaBase + static_cast<NodeId>(i);
-            auto rep = std::make_unique<PbftReplica>(cfg, root.provision(rid));
-            net.add_node(*rep, rid);
-            replicas.push_back(std::move(rep));
-        }
-    }
-
-    QuorumClient& add_client() {
-        NodeId cid = testutil::kClientBase + static_cast<NodeId>(clients.size());
-        auto c = std::make_unique<QuorumClient>(cfg, root.provision(cid),
-                                                static_cast<std::size_t>(cfg.f + 1));
-        net.add_node(*c, cid);
-        clients.push_back(std::move(c));
-        return *clients.back();
-    }
-
-    sim::Simulator sim;
-    sim::Network net;
-    crypto::TrustRoot root;
-    PbftConfig cfg;
-    std::vector<std::unique_ptr<PbftReplica>> replicas;
-    std::vector<std::unique_ptr<QuorumClient>> clients;
-};
+using PbftDeployment = testutil::Deployment<PbftReplica>;
 
 TEST(Pbft, SingleRequestCommits) {
     PbftDeployment d;
@@ -50,7 +20,7 @@ TEST(Pbft, SingleRequestCommits) {
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0], "op-0-0");
     for (auto& rep : d.replicas) {
-        EXPECT_EQ(rep->stats().requests_executed, 1u);
+        EXPECT_EQ(rep->requests_executed(), 1u);
         EXPECT_EQ(rep->executed_seq(), 1u);
     }
 }
@@ -66,7 +36,7 @@ TEST(Pbft, SequentialWorkload) {
 }
 
 TEST(Pbft, BatchingAmortisesAgreement) {
-    PbftConfig base;
+    BaseConfig base;
     base.batch_max = 8;
     base.batch_delay = 200 * sim::kMicrosecond;
     PbftDeployment d(4, base);
@@ -78,8 +48,8 @@ TEST(Pbft, BatchingAmortisesAgreement) {
     d.sim.run_until(10 * sim::kSecond);
     for (const auto& r : results) EXPECT_EQ(r.size(), 10u);
     // 80 requests in far fewer batches than 80.
-    EXPECT_LT(d.replicas[0]->stats().batches_committed, 40u);
-    EXPECT_EQ(d.replicas[0]->stats().requests_executed, 80u);
+    EXPECT_LT(d.replicas[0]->batches_committed(), 40u);
+    EXPECT_EQ(d.replicas[0]->requests_executed(), 80u);
 }
 
 TEST(Pbft, AllReplicasExecuteIdentically) {
@@ -91,7 +61,7 @@ TEST(Pbft, AllReplicasExecuteIdentically) {
     }
     d.sim.run_until(10 * sim::kSecond);
     for (auto& rep : d.replicas) {
-        EXPECT_EQ(rep->stats().requests_executed, 30u);
+        EXPECT_EQ(rep->requests_executed(), 30u);
         EXPECT_EQ(rep->executed_seq(), d.replicas[0]->executed_seq());
     }
 }
@@ -115,55 +85,6 @@ TEST(Pbft, SevenReplicas) {
     drive(client, 0, 0, 5, results);
     d.sim.run_until(10 * sim::kSecond);
     EXPECT_EQ(results.size(), 5u);
-}
-
-TEST(Pbft, CheckpointsGarbageCollect) {
-    PbftConfig base;
-    base.checkpoint_interval = 4;
-    base.batch_max = 1;  // one batch per request -> quick seq growth
-    base.batch_delay = 10 * sim::kMicrosecond;
-    PbftDeployment d(4, base);
-    auto& client = d.add_client();
-    std::vector<std::string> results;
-    drive(client, 0, 0, 20, results);
-    d.sim.run_until(10 * sim::kSecond);
-    ASSERT_EQ(results.size(), 20u);
-    for (auto& rep : d.replicas) EXPECT_GE(rep->stats().checkpoints, 3u);
-}
-
-TEST(Pbft, DuplicateRequestAnsweredFromCache) {
-    PbftDeployment d;
-    auto& client = d.add_client();
-    std::vector<std::string> results;
-    drive(client, 0, 0, 1, results);
-    d.sim.run_until(sim::kSecond);
-    ASSERT_EQ(results.size(), 1u);
-    // Re-deliver the same request wire to the primary: replicas must not
-    // re-execute.
-    std::uint64_t executed_before = d.replicas[0]->stats().requests_executed;
-    Request req;
-    req.client = client.id();
-    req.request_id = 1;
-    req.op = to_bytes("op-0-0");
-    req.mac = client.node_crypto().mac_for(1, req.mac_body());
-    d.net.send(client.id(), 1, req.serialize());
-    d.sim.run_until(d.sim.now() + sim::kSecond);
-    EXPECT_EQ(d.replicas[0]->stats().requests_executed, executed_before);
-}
-
-TEST(Pbft, BadClientMacIgnored) {
-    PbftDeployment d;
-    Request req;
-    req.client = 400;
-    req.request_id = 1;
-    req.op = to_bytes("evil");
-    req.mac = Bytes(8, 0x42);
-    // Register a node so the network can route from 400.
-    auto& client = d.add_client();
-    (void)client;
-    d.net.send(400, 1, req.serialize());
-    d.sim.run_until(sim::kSecond);
-    for (auto& rep : d.replicas) EXPECT_EQ(rep->stats().requests_executed, 0u);
 }
 
 }  // namespace

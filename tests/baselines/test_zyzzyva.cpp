@@ -7,36 +7,7 @@
 namespace neo::baselines {
 namespace {
 
-struct ZyzzyvaDeployment {
-    explicit ZyzzyvaDeployment(int n = 4, ZyzzyvaConfig base = {})
-        : net(sim, 79), root(crypto::CryptoMode::kReal, 6) {
-        net.set_default_link(sim::datacenter_link());
-        cfg = base;
-        cfg.f = (n - 1) / 3;
-        for (int i = 0; i < n; ++i) cfg.replicas.push_back(testutil::kReplicaBase + static_cast<NodeId>(i));
-        for (int i = 0; i < n; ++i) {
-            NodeId rid = testutil::kReplicaBase + static_cast<NodeId>(i);
-            auto rep = std::make_unique<ZyzzyvaReplica>(cfg, root.provision(rid));
-            net.add_node(*rep, rid);
-            replicas.push_back(std::move(rep));
-        }
-    }
-
-    ZyzzyvaClient& add_client(ZyzzyvaClient::Options opts = {}) {
-        NodeId cid = testutil::kClientBase + static_cast<NodeId>(clients.size());
-        auto c = std::make_unique<ZyzzyvaClient>(cfg, root.provision(cid), opts);
-        net.add_node(*c, cid);
-        clients.push_back(std::move(c));
-        return *clients.back();
-    }
-
-    sim::Simulator sim;
-    sim::Network net;
-    crypto::TrustRoot root;
-    ZyzzyvaConfig cfg;
-    std::vector<std::unique_ptr<ZyzzyvaReplica>> replicas;
-    std::vector<std::unique_ptr<ZyzzyvaClient>> clients;
-};
+using ZyzzyvaDeployment = testutil::Deployment<ZyzzyvaReplica>;
 
 TEST(Zyzzyva, FastPathWithAllReplicas) {
     ZyzzyvaDeployment d;
@@ -105,12 +76,12 @@ TEST(Zyzzyva, SpeculativeHistoryConsistent) {
     // All replicas executed the same number of requests (same order implied
     // by the matching histories the clients verified).
     for (auto& rep : d.replicas) {
-        EXPECT_EQ(rep->stats().requests_executed, 30u);
+        EXPECT_EQ(rep->requests_executed(), 30u);
     }
 }
 
 TEST(Zyzzyva, BatchedThroughput) {
-    ZyzzyvaConfig base;
+    BaseConfig base;
     base.batch_max = 8;
     ZyzzyvaDeployment d(4, base);
     std::vector<std::vector<std::string>> results(6);
@@ -120,7 +91,7 @@ TEST(Zyzzyva, BatchedThroughput) {
     }
     d.sim.run_until(10 * sim::kSecond);
     for (const auto& r : results) EXPECT_EQ(r.size(), 10u);
-    EXPECT_LT(d.replicas[1]->stats().batches_ordered + 60, 120u);
+    EXPECT_LT(d.replicas[1]->batches_ordered() + 60, 120u);
 }
 
 TEST(Zyzzyva, TamperedOrderReqRejected) {
@@ -142,7 +113,7 @@ TEST(Zyzzyva, TamperedOrderReqRejected) {
     d.sim.run_until(10 * sim::kSecond);
     EXPECT_EQ(results.size(), 3u);
     // Replica 2 rejected the corrupted order-reqs.
-    EXPECT_EQ(d.replicas[1]->stats().requests_executed, 0u);
+    EXPECT_EQ(d.replicas[1]->requests_executed(), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
-// Host-side crypto tuning switches (HostCryptoTuning: batch verification,
-// the process-wide verdict memo, SIMD SipHash) change HOST wall-clock
-// only. These tests run full real-crypto deployments with each switch
-// flipped — and with batching on across PDES partition counts — and
-// byte-compare the serialized trace streams plus the derived metrics. Any
-// verdict, timing or charging difference between the paths shows up here
-// as a trace diff.
+// Real-crypto host paths (batch verification, the process-wide verdict
+// memo, SIMD SipHash) change HOST wall-clock only. These tests run full
+// real-crypto deployments at one and at eight PDES partitions, where
+// verifiers on different threads share the memo, and byte-compare the
+// serialized trace streams plus the derived metrics. Any verdict, timing
+// or charging difference between the runs shows up here as a trace diff.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,29 +11,15 @@
 #include <sstream>
 #include <string>
 
-#include "crypto/tuning.hpp"
 #include "harness/harness.hpp"
 #include "obs/trace.hpp"
 
 namespace neo::bench {
-namespace {
 
-/// Applies a tuning combination for the duration of a scope.
-struct TuningGuard {
-    TuningGuard(bool batch, bool shared, bool simd) {
-        crypto::HostCryptoTuning& t = crypto::host_crypto_tuning();
-        prev_batch_ = t.batch_verify.exchange(batch);
-        prev_shared_ = t.shared_memo.exchange(shared);
-        prev_simd_ = t.simd_siphash.exchange(simd);
-    }
-    ~TuningGuard() {
-        crypto::HostCryptoTuning& t = crypto::host_crypto_tuning();
-        t.batch_verify.store(prev_batch_);
-        t.shared_memo.store(prev_shared_);
-        t.simd_siphash.store(prev_simd_);
-    }
-    bool prev_batch_, prev_shared_, prev_simd_;
-};
+/// Names the test parameter, so ctest lists .../NeoBN and .../NeoPK.
+void PrintTo(NeoVariant v, std::ostream* os) { *os << (v == NeoVariant::kBn ? "NeoBN" : "NeoPK"); }
+
+namespace {
 
 struct Stream {
     std::string jsonl;
@@ -42,14 +27,14 @@ struct Stream {
     std::uint64_t completed = 0;
 };
 
-Stream run_bn(unsigned sim_threads) {
+Stream run_neo(NeoVariant variant, unsigned sim_threads) {
     NeoParams p;
     p.n_replicas = 4;
     p.n_clients = 6;
     p.seed = 23;
     p.sim_threads = sim_threads;
     p.crypto_mode = crypto::CryptoMode::kReal;
-    p.variant = NeoVariant::kBn;  // signed confirm batches -> verify_batch
+    p.variant = variant;
     std::unique_ptr<Deployment> d = make_neobft(p);
 
     obs::TraceSink sink;
@@ -66,42 +51,23 @@ Stream run_bn(unsigned sim_threads) {
     return s;
 }
 
-TEST(CryptoDeterminism, TuningSwitchesPreserveTraceBytes) {
-    Stream all_on = [&] {
-        TuningGuard g(true, true, true);
-        return run_bn(1);
-    }();
-    ASSERT_GT(all_on.completed, 0u);
-    ASSERT_FALSE(all_on.jsonl.empty());
+/// Neo-BN verifies signed confirm batches through verify_batch; Neo-PK
+/// verifies each packet's sequencer signature through the verdict memo
+/// that every replica shares.
+class CryptoDeterminism : public ::testing::TestWithParam<NeoVariant> {};
 
-    struct Combo {
-        const char* name;
-        bool batch, shared, simd;
-    };
-    const Combo combos[] = {
-        {"batch_off", false, true, true},
-        {"shared_off", true, false, true},  // no verdict memo at all
-        {"simd_off", true, true, false},
-        {"all_off", false, false, false},
-    };
-    for (const Combo& c : combos) {
-        TuningGuard g(c.batch, c.shared, c.simd);
-        Stream s = run_bn(1);
-        EXPECT_EQ(all_on.jsonl, s.jsonl) << c.name;
-        EXPECT_EQ(all_on.completed, s.completed) << c.name;
-        EXPECT_EQ(all_on.phase, s.phase) << c.name;
-    }
-}
-
-TEST(CryptoDeterminism, BatchingIdenticalAcrossSimThreads) {
-    TuningGuard g(true, true, true);
-    Stream serial = run_bn(1);
-    Stream parallel = run_bn(8);
+TEST_P(CryptoDeterminism, BatchingIdenticalAcrossSimThreads) {
+    Stream serial = run_neo(GetParam(), 1);
+    Stream parallel = run_neo(GetParam(), 8);
     ASSERT_GT(serial.completed, 0u);
+    ASSERT_FALSE(serial.jsonl.empty());
     EXPECT_EQ(serial.jsonl, parallel.jsonl);
     EXPECT_EQ(serial.completed, parallel.completed);
     EXPECT_EQ(serial.phase, parallel.phase);
 }
+
+INSTANTIATE_TEST_SUITE_P(NeoVariants, CryptoDeterminism,
+                         ::testing::Values(NeoVariant::kBn, NeoVariant::kPk));
 
 }  // namespace
 }  // namespace neo::bench

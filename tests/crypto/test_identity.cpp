@@ -159,14 +159,6 @@ TEST(IdentityModes, RealAndModeledSignaturesDiffer) {
 
 // ---------- host-side fast paths must not change virtual charging ----------
 
-/// Flips one tuning switch for a scope and restores it on exit.
-struct SwitchGuard {
-    std::atomic<bool>& flag;
-    bool prev;
-    SwitchGuard(std::atomic<bool>& f, bool v) : flag(f), prev(f.exchange(v)) {}
-    ~SwitchGuard() { flag.store(prev); }
-};
-
 struct Charge {
     std::int64_t sync, async;
     std::uint64_t verifies;
@@ -180,11 +172,10 @@ Charge drain(NodeCrypto& c) {
 }
 
 TEST(IdentityBatch, BatchAndMemoPathsChargeIdenticalVirtualCost) {
-    // Four host paths resolve the same verify_batch call: cold batch
-    // verification, memo hits on the same node and on a fresh node, and
-    // plain per-item verification with every switch off. The virtual
-    // CostMeter charge must be identical on all of them — host
-    // optimisations are invisible to the simulation.
+    // Three host paths resolve the same verify_batch call: cold batch
+    // verification, and memo hits on the same node and on a fresh node.
+    // The virtual CostMeter charge must be identical on all of them —
+    // host optimisations are invisible to the simulation.
     TrustRoot root{CryptoMode::kReal, 17};
     auto signer = root.provision(1);
     std::vector<NodeCrypto::BatchItem> items;
@@ -196,7 +187,6 @@ TEST(IdentityBatch, BatchAndMemoPathsChargeIdenticalVirtualCost) {
     }
     for (int i = 0; i < 6; ++i) items[static_cast<std::size_t>(i)].sig = sigs[static_cast<std::size_t>(i)];
 
-    HostCryptoTuning& tuning = host_crypto_tuning();
     auto verify_all = [&](NodeCrypto& c) {
         std::vector<bool> out = c.verify_batch(items);
         for (bool ok : out) EXPECT_TRUE(ok);
@@ -208,12 +198,6 @@ TEST(IdentityBatch, BatchAndMemoPathsChargeIdenticalVirtualCost) {
     Charge memo_warm = verify_all(*cold);       // same node: memo hits
     auto shared_warm_node = root.provision(3);  // fresh node: memo hits too
     Charge shared_warm = verify_all(*shared_warm_node);
-    Charge plain = [&] {
-        SwitchGuard g1(tuning.batch_verify, false);
-        SwitchGuard g2(tuning.shared_memo, false);
-        auto off = root.provision(4);
-        return verify_all(*off);
-    }();
 
     const auto& costs = root.costs();
     EXPECT_EQ(batch_cold.sync, costs.ecdsa_dispatch_ns);
@@ -221,13 +205,12 @@ TEST(IdentityBatch, BatchAndMemoPathsChargeIdenticalVirtualCost) {
     EXPECT_EQ(batch_cold.verifies, 6u);
     EXPECT_EQ(memo_warm, batch_cold);
     EXPECT_EQ(shared_warm, batch_cold);
-    EXPECT_EQ(plain, batch_cold);
 
     // And the host counters prove the paths actually differed.
     EXPECT_EQ(cold->batch_stats().batches, 1u);
     EXPECT_EQ(cold->batch_stats().fast_path_batches, 1u);
     EXPECT_EQ(shared_warm_node->batch_stats().batches, 0u);  // memo short-circuit
-    EXPECT_EQ(root.memo_stats().hits, 12u);  // switches off: no memo lookups
+    EXPECT_EQ(root.memo_stats().hits, 12u);
 }
 
 TEST(IdentityBatch, ForgedSignatureIsolatedThroughNodeCrypto) {

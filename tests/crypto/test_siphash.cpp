@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/hex.hpp"
-#include "crypto/tuning.hpp"
 
 namespace neo::crypto {
 namespace {
@@ -180,20 +179,6 @@ TEST(HalfSipHashX4, MatchesScalarLanesOnEveryLength) {
         }
         msg.push_back(static_cast<std::uint8_t>(n * 7 + 3));
     }
-}
-
-TEST(HalfSipHashX4, SimdAndScalarDispatchAgree) {
-    HalfSipKey keys[4] = {{1u, 2u}, {3u, 4u}, {5u, 6u}, {7u, 8u}};
-    Bytes msg = to_bytes("aom auth input: group epoch seq digest.........");
-    crypto::HostCryptoTuning& tuning = host_crypto_tuning();
-    bool prev = tuning.simd_siphash.exchange(true);
-    std::uint32_t with_simd[4];
-    halfsiphash24_x4(keys, msg, with_simd);
-    tuning.simd_siphash.store(false);
-    std::uint32_t scalar[4];
-    halfsiphash24_x4(keys, msg, scalar);
-    tuning.simd_siphash.store(prev);
-    for (int lane = 0; lane < 4; ++lane) EXPECT_EQ(with_simd[lane], scalar[lane]) << lane;
 }
 
 }  // namespace
