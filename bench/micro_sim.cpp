@@ -13,9 +13,12 @@
 #include "aom/keys.hpp"
 #include "aom/sender.hpp"
 #include "aom/sequencer.hpp"
+#include "aom/wire.hpp"
+#include "baselines/common.hpp"
 #include "common/rng.hpp"
 #include "crypto/identity.hpp"
 #include "harness/runner.hpp"
+#include "neobft/messages.hpp"
 #include "sim/network.hpp"
 #include "sim/processing_node.hpp"
 
@@ -223,6 +226,100 @@ void BM_MultiGroupSequence(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kRounds * n_groups);
 }
 BENCHMARK(BM_MultiGroupSequence)->Arg(1)->Arg(4)->Arg(16);
+
+// -------------------------------------------------------------- Wire codec
+// Per-message encode and decode of the formats on every request's path:
+// the aom-hm sequencer packet (4 MACs, 64-byte payload), NeoBFT's client
+// request (encode includes its signed body) and reply, and the baselines'
+// client request. Decode starts after the kind byte, as the dispatchers do.
+
+aom::HmPacket hm_sample() {
+    aom::HmPacket p;
+    p.group = 1;
+    p.epoch = 1;
+    p.seq = 42;
+    p.digest.fill(0x5a);
+    p.n_subgroups = 1;
+    p.macs = {0x01020304, 0x05060708, 0x090a0b0c, 0x0d0e0f10};
+    p.payload = Bytes(64, 0xab);
+    return p;
+}
+
+neobft::Request neo_request_sample() {
+    neobft::Request m;
+    m.client = 200;
+    m.request_id = 7;
+    m.op = Bytes(64, 0xab);
+    m.signature = Bytes(64, 0xcd);
+    return m;
+}
+
+neobft::Reply neo_reply_sample() {
+    neobft::Reply m;
+    m.view = neobft::ViewId{1, 0};
+    m.replica = 1;
+    m.slot = 42;
+    m.log_hash.fill(0x77);
+    m.request_id = 7;
+    m.result = Bytes(64, 0xab);
+    m.mac = Bytes(8, 0xee);
+    return m;
+}
+
+baselines::Request bft_request_sample() {
+    baselines::Request m;
+    m.client = 200;
+    m.request_id = 7;
+    m.op = Bytes(64, 0xab);
+    m.mac = Bytes(8, 0xee);
+    return m;
+}
+
+template <class Fn>
+void BM_WireCodec(benchmark::State& state, Fn fn) {
+    for (auto _ : state) fn();
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+template <class T>
+void encode_once(const T& m) {
+    Bytes wire = m.serialize();
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+}
+
+template <class T>
+void decode_once(const Bytes& wire) {
+    Reader r(BytesView(wire).subspan(1));
+    T m = T::parse(r);
+    benchmark::DoNotOptimize(&m);
+}
+
+const aom::HmPacket kHm = hm_sample();
+const Bytes kHmWire = kHm.serialize();
+const neobft::Request kNeoRequest = neo_request_sample();
+const Bytes kNeoRequestWire = kNeoRequest.serialize();
+const neobft::Reply kNeoReply = neo_reply_sample();
+const Bytes kNeoReplyWire = kNeoReply.serialize();
+const baselines::Request kBftRequest = bft_request_sample();
+const Bytes kBftRequestWire = kBftRequest.serialize();
+
+BENCHMARK_CAPTURE(BM_WireCodec, hm_encode, [] { encode_once(kHm); });
+BENCHMARK_CAPTURE(BM_WireCodec, hm_decode, [] { decode_once<aom::HmPacket>(kHmWire); });
+BENCHMARK_CAPTURE(BM_WireCodec, neo_request_encode, [] {
+    encode_once(kNeoRequest);
+    Bytes body = kNeoRequest.signed_body();
+    benchmark::DoNotOptimize(body.data());
+    benchmark::ClobberMemory();
+});
+BENCHMARK_CAPTURE(BM_WireCodec, neo_request_decode,
+                  [] { decode_once<neobft::Request>(kNeoRequestWire); });
+BENCHMARK_CAPTURE(BM_WireCodec, neo_reply_encode, [] { encode_once(kNeoReply); });
+BENCHMARK_CAPTURE(BM_WireCodec, neo_reply_decode,
+                  [] { decode_once<neobft::Reply>(kNeoReplyWire); });
+BENCHMARK_CAPTURE(BM_WireCodec, bft_request_encode, [] { encode_once(kBftRequest); });
+BENCHMARK_CAPTURE(BM_WireCodec, bft_request_decode,
+                  [] { decode_once<baselines::Request>(kBftRequestWire); });
 
 // --------------------------------------------------------------------- PDES
 // Parallel-engine micro-benchmarks. These isolate the three costs the
