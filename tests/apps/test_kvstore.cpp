@@ -146,6 +146,38 @@ TEST(KvStateMachine, ExecuteCostDistinguishesReadsWrites) {
     EXPECT_LT(sm.execute_cost_ns(get("a").serialize()), sm.execute_cost_ns(put("a", "b").serialize()));
 }
 
+TEST(KvStateMachine, MalformedTxnCountChargesBadRequestCost) {
+    // A declared op count KvTxnOp::parse rejects executes as kBadRequest
+    // and costs one bad request (1,400 ns), not 1,400 ns per declared op.
+    KvStateMachine sm;
+    auto with_count = [](KvOpType type, std::uint32_t n) {
+        Writer w;
+        w.u8(static_cast<std::uint8_t>(type));
+        if (type == KvOpType::kTxnPrepare) w.u64(9);
+        w.u32(n);
+        return std::move(w).take();
+    };
+    for (KvOpType type : {KvOpType::kTxnLocal, KvOpType::kTxnPrepare}) {
+        for (std::uint32_t n : {0u, 1'025u, 0xffffffffu}) {
+            Bytes op = with_count(type, n);
+            EXPECT_EQ(sm.execute_cost_ns(op), 1'400) << static_cast<int>(type) << " n=" << n;
+            auto res = KvResult::parse(sm.execute(op));
+            ASSERT_TRUE(res.has_value());
+            EXPECT_EQ(res->status, KvStatus::kBadRequest);
+        }
+    }
+
+    // Well-formed transactions pay per op, as before.
+    KvTxnOp local;
+    local.type = KvOpType::kTxnLocal;
+    local.ops = {put("a", "1"), put("b", "2"), get("c"), del("d")};
+    EXPECT_EQ(sm.execute_cost_ns(local.serialize()), 6'200);
+    KvTxnOp prepare = local;
+    prepare.type = KvOpType::kTxnPrepare;
+    prepare.txn_id = 9;
+    EXPECT_EQ(sm.execute_cost_ns(prepare.serialize()), 6'400);
+}
+
 TEST(KvStateMachine, SpeculativeRollbackScenario) {
     // Mirrors NeoBFT's rollback: execute a suffix, undo it, re-execute a
     // different suffix, and end consistent.
