@@ -8,93 +8,6 @@
 namespace neo::aom {
 
 namespace {
-constexpr std::size_t kMaxVectorEntries = 256;
-constexpr std::size_t kMaxChainLinks = 4'096;
-constexpr std::size_t kMaxConfirms = 512;
-constexpr std::size_t kMaxPayload = 1u << 20;
-
-void put_digest(Writer& w, const Digest32& d) { w.raw(BytesView(d.data(), d.size())); }
-}  // namespace
-
-Bytes OrderingCert::serialize() const {
-    Writer w(192 + payload.size() + chain.size() * 72 + confirms.size() * 72);
-    w.u8(static_cast<std::uint8_t>(variant));
-    w.u32(group);
-    w.u64(epoch);
-    w.u64(seq);
-    put_digest(w, digest);
-    w.blob(payload);
-
-    w.u32(static_cast<std::uint32_t>(macs.size()));
-    for (std::uint32_t m : macs) w.u32(m);
-
-    w.u32(static_cast<std::uint32_t>(chain.size()));
-    for (const auto& link : chain) {
-        w.u64(link.seq);
-        put_digest(w, link.digest);
-        put_digest(w, link.prev_chain);
-    }
-    w.blob(signature);
-
-    w.u32(static_cast<std::uint32_t>(confirms.size()));
-    for (const auto& c : confirms) {
-        w.u32(c.node);
-        w.blob(c.signature);
-    }
-    return std::move(w).take();
-}
-
-OrderingCert OrderingCert::parse(Reader& r) {
-    OrderingCert c;
-    std::uint8_t variant = r.u8();
-    if (variant != static_cast<std::uint8_t>(AuthVariant::kHmacVector) &&
-        variant != static_cast<std::uint8_t>(AuthVariant::kPublicKey)) {
-        throw CodecError("bad auth variant");
-    }
-    c.variant = static_cast<AuthVariant>(variant);
-    c.group = r.u32();
-    c.epoch = r.u64();
-    c.seq = r.u64();
-    c.digest = r.digest32();
-    c.payload = r.blob(kMaxPayload);
-
-    std::uint32_t n_macs = r.u32();
-    if (n_macs > kMaxVectorEntries) throw CodecError("oversized MAC vector");
-    c.macs.reserve(n_macs);
-    for (std::uint32_t i = 0; i < n_macs; ++i) c.macs.push_back(r.u32());
-
-    std::uint32_t n_links = r.u32();
-    if (n_links > kMaxChainLinks) throw CodecError("oversized chain");
-    c.chain.reserve(n_links);
-    for (std::uint32_t i = 0; i < n_links; ++i) {
-        ChainLink link;
-        link.seq = r.u64();
-        link.digest = r.digest32();
-        link.prev_chain = r.digest32();
-        c.chain.push_back(link);
-    }
-    c.signature = r.blob(256);
-
-    std::uint32_t n_confirms = r.u32();
-    if (n_confirms > kMaxConfirms) throw CodecError("oversized confirm set");
-    c.confirms.reserve(n_confirms);
-    for (std::uint32_t i = 0; i < n_confirms; ++i) {
-        ConfirmSig s;
-        s.node = r.u32();
-        s.signature = r.blob(256);
-        c.confirms.push_back(std::move(s));
-    }
-    return c;
-}
-
-OrderingCert OrderingCert::parse_bytes(BytesView b) {
-    Reader r(b);
-    OrderingCert c = parse(r);
-    r.expect_end();
-    return c;
-}
-
-namespace {
 
 bool verify_hm(const OrderingCert& cert, const VerifyContext& ctx, NodeId sequencer) {
     int idx = ctx.cfg->receiver_index(ctx.self);

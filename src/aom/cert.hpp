@@ -23,9 +23,15 @@ namespace neo::aom {
 struct ConfirmSig {
     NodeId node = 0;
     Bytes signature;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.node);
+        io.blob(m.signature, kMaxSignature);
+    }
 };
 
-struct OrderingCert {
+struct OrderingCert : wire::Message<OrderingCert> {
     AuthVariant variant = AuthVariant::kHmacVector;
     GroupId group = 0;
     EpochNum epoch = 0;
@@ -42,6 +48,11 @@ struct OrderingCert {
         SeqNum seq = 0;
         Digest32 digest{};
         Digest32 prev_chain{};
+
+        template <class IO, class M>
+        static void fields(IO& io, M& m) {
+            io(m.seq, m.digest, m.prev_chain);
+        }
     };
     std::vector<ChainLink> chain;
     Bytes signature;
@@ -49,9 +60,18 @@ struct OrderingCert {
     // Byzantine network mode: 2f+1 matching confirms.
     std::vector<ConfirmSig> confirms;
 
-    Bytes serialize() const;
-    static OrderingCert parse(Reader& r);  // throws CodecError
-    static OrderingCert parse_bytes(BytesView b);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.variant);
+        io.check(m.variant == AuthVariant::kHmacVector || m.variant == AuthVariant::kPublicKey,
+                 "bad auth variant");
+        io(m.group, m.epoch, m.seq, m.digest);
+        io.blob(m.payload, kMaxPayload);
+        io.list(m.macs, 256);
+        io.list(m.chain, 4'096);
+        io.blob(m.signature, kMaxSignature);
+        io.list(m.confirms, 512);
+    }
 };
 
 /// Everything a receiver needs to verify certificates, including ones from

@@ -4,13 +4,6 @@
 
 namespace neo::aom {
 
-namespace {
-constexpr std::size_t kMaxPayload = 1u << 20;       // 1 MiB application payload cap
-constexpr std::size_t kMaxConfirmEntries = 4'096;   // batched confirms cap
-
-void put_digest(Writer& w, const Digest32& d) { w.raw(BytesView(d.data(), d.size())); }
-}  // namespace
-
 std::optional<std::uint8_t> peek_kind(BytesView packet) {
     if (packet.empty()) return std::nullopt;
     return packet[0];
@@ -34,61 +27,6 @@ const char* wire_kind_name(std::uint8_t kind) {
     }
 }
 
-// ---------- DataPacket ----------
-
-Bytes DataPacket::serialize() const {
-    Writer w(48 + payload.size());
-    w.u8(static_cast<std::uint8_t>(Wire::kData));
-    w.u32(group);
-    put_digest(w, digest);
-    w.blob(payload);
-    return std::move(w).take();
-}
-
-DataPacket DataPacket::parse(Reader& r) {
-    DataPacket p;
-    p.group = r.u32();
-    p.digest = r.digest32();
-    p.payload = r.blob(kMaxPayload);
-    r.expect_end();
-    return p;
-}
-
-// ---------- HmPacket ----------
-
-Bytes HmPacket::serialize() const {
-    Writer w(64 + payload.size() + macs.size() * 4);
-    w.u8(static_cast<std::uint8_t>(Wire::kSeqHm));
-    w.u32(group);
-    w.u64(epoch);
-    w.u64(seq);
-    put_digest(w, digest);
-    w.u8(subgroup);
-    w.u8(n_subgroups);
-    w.u8(static_cast<std::uint8_t>(macs.size()));
-    for (std::uint32_t m : macs) w.u32(m);
-    w.blob(payload);
-    return std::move(w).take();
-}
-
-HmPacket HmPacket::parse(Reader& r) {
-    HmPacket p;
-    p.group = r.u32();
-    p.epoch = r.u64();
-    p.seq = r.u64();
-    p.digest = r.digest32();
-    p.subgroup = r.u8();
-    p.n_subgroups = r.u8();
-    std::uint8_t n_macs = r.u8();
-    if (n_macs > kHmSubgroupSize) throw CodecError("too many MACs in subgroup packet");
-    if (p.n_subgroups == 0 || p.subgroup >= p.n_subgroups) throw CodecError("bad subgroup index");
-    p.macs.reserve(n_macs);
-    for (int i = 0; i < n_macs; ++i) p.macs.push_back(r.u32());
-    p.payload = r.blob(kMaxPayload);
-    r.expect_end();
-    return p;
-}
-
 // ---------- PkPacket ----------
 
 Bytes PkPacket::serialize() const {
@@ -97,26 +35,24 @@ Bytes PkPacket::serialize() const {
     w.u32(group);
     w.u64(epoch);
     w.u64(seq);
-    put_digest(w, digest);
-    put_digest(w, prev_chain);
+    w.raw(BytesView(digest.data(), digest.size()));
+    w.raw(BytesView(prev_chain.data(), prev_chain.size()));
     w.blob(signature);
     if (!checkpoint) w.blob(payload);
     return std::move(w).take();
 }
 
 PkPacket PkPacket::parse(Reader& r) {
-    // The caller has consumed the kind byte and sets `checkpoint` through
-    // the parse entry points below; re-parse both shapes here based on a
-    // flag passed via a second function would complicate call sites, so
-    // this parse handles the payload-bearing form and parse_checkpoint the
-    // header-only form.
+    // The caller has consumed the kind byte, so the two shapes are told
+    // apart by what follows the signature: nothing for a checkpoint, a
+    // payload blob for a sequenced message.
     PkPacket p;
     p.group = r.u32();
     p.epoch = r.u64();
     p.seq = r.u64();
     p.digest = r.digest32();
     p.prev_chain = r.digest32();
-    p.signature = r.blob(256);
+    p.signature = r.blob(kMaxSignature);
     if (!p.signature.empty() && p.signature.size() != 64) throw CodecError("bad signature length");
     if (r.at_end()) {
         p.checkpoint = true;
@@ -125,82 +61,6 @@ PkPacket PkPacket::parse(Reader& r) {
         p.payload = r.blob(kMaxPayload);
         r.expect_end();
     }
-    return p;
-}
-
-// ---------- ConfirmPacket ----------
-
-Bytes ConfirmPacket::serialize() const {
-    Writer w(64 + entries.size() * 112);
-    w.u8(static_cast<std::uint8_t>(Wire::kConfirm));
-    w.u32(sender);
-    w.u32(group);
-    w.u64(epoch);
-    w.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-        w.u64(e.seq);
-        put_digest(w, e.digest);
-        w.blob(e.signature);
-    }
-    return std::move(w).take();
-}
-
-ConfirmPacket ConfirmPacket::parse(Reader& r) {
-    ConfirmPacket p;
-    p.sender = r.u32();
-    p.group = r.u32();
-    p.epoch = r.u64();
-    std::uint32_t n = r.u32();
-    if (n > kMaxConfirmEntries) throw CodecError("too many confirm entries");
-    p.entries.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        Entry e;
-        e.seq = r.u64();
-        e.digest = r.digest32();
-        e.signature = r.blob(256);
-        p.entries.push_back(std::move(e));
-    }
-    r.expect_end();
-    return p;
-}
-
-// ---------- FailoverRequest ----------
-
-Bytes FailoverRequest::serialize() const {
-    Writer w(24);
-    w.u8(static_cast<std::uint8_t>(Wire::kFailoverReq));
-    w.u32(sender);
-    w.u32(group);
-    w.u64(next_epoch);
-    return std::move(w).take();
-}
-
-FailoverRequest FailoverRequest::parse(Reader& r) {
-    FailoverRequest p;
-    p.sender = r.u32();
-    p.group = r.u32();
-    p.next_epoch = r.u64();
-    r.expect_end();
-    return p;
-}
-
-// ---------- NewEpochAnnouncement ----------
-
-Bytes NewEpochAnnouncement::serialize() const {
-    Writer w(24);
-    w.u8(static_cast<std::uint8_t>(Wire::kNewEpoch));
-    w.u32(group);
-    w.u64(epoch);
-    w.u32(sequencer);
-    return std::move(w).take();
-}
-
-NewEpochAnnouncement NewEpochAnnouncement::parse(Reader& r) {
-    NewEpochAnnouncement p;
-    p.group = r.u32();
-    p.epoch = r.u64();
-    p.sequencer = r.u32();
-    r.expect_end();
     return p;
 }
 

@@ -37,19 +37,28 @@ bool is_aom_packet(BytesView packet);
 /// own (protocol kinds >= kProtoBase). Suitable as a metrics key fragment.
 const char* wire_kind_name(std::uint8_t kind);
 
+/// Decoding caps shared by the aom formats.
+constexpr std::size_t kMaxPayload = 1u << 20;  // application payload
+constexpr std::size_t kMaxSignature = 256;
+
 /// Sender -> sequencer.
-struct DataPacket {
+struct DataPacket : wire::Message<DataPacket> {
+    static constexpr Wire kKind = Wire::kData;
     GroupId group = 0;
     Digest32 digest{};
     Bytes payload;
 
-    Bytes serialize() const;
-    static DataPacket parse(Reader& r);  // throws CodecError
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.group, m.digest);
+        io.blob(m.payload, kMaxPayload);
+    }
 };
 
 /// Sequencer -> receivers, HM variant. One packet per subgroup; each
 /// carries kHmSubgroupSize MACs so receivers can assemble the full vector.
-struct HmPacket {
+struct HmPacket : wire::Message<HmPacket> {
+    static constexpr Wire kKind = Wire::kSeqHm;
     GroupId group = 0;
     EpochNum epoch = 0;
     SeqNum seq = 0;
@@ -60,13 +69,22 @@ struct HmPacket {
     std::vector<std::uint32_t> macs;
     Bytes payload;
 
-    Bytes serialize() const;
-    static HmPacket parse(Reader& r);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.group, m.epoch, m.seq, m.digest, m.subgroup, m.n_subgroups);
+        io.template list<std::uint8_t>(m.macs, kHmSubgroupSize);
+        io.check(m.n_subgroups != 0 && m.subgroup < m.n_subgroups, "bad subgroup index");
+        io.blob(m.payload, kMaxPayload);
+    }
 };
 
 /// Sequencer -> receivers, PK variant. `signature` may be empty when the
 /// signing-ratio controller skipped this packet (§4.4); `checkpoint` packets
 /// retro-sign the chain head and carry no payload.
+///
+/// The one aom format without a field list: `checkpoint` picks the kind
+/// byte (kCheckpoint or kSeqPk) and decides whether a payload follows, and
+/// decoding infers it from whether bytes remain after the signature.
 struct PkPacket {
     GroupId group = 0;
     EpochNum epoch = 0;
@@ -78,14 +96,16 @@ struct PkPacket {
     Bytes payload;
 
     Bytes serialize() const;
-    static PkPacket parse(Reader& r);
+    static PkPacket parse(Reader& r);  // after either kind byte
 };
 
 /// Receiver -> receivers (Byzantine network mode). Entries are batched into
 /// one packet (the paper batches confirm processing, §6.2) but each entry
 /// carries its own signature over confirm_input() so the resulting ordering
 /// certificates stay independently verifiable (transferable).
-struct ConfirmPacket {
+struct ConfirmPacket : wire::Message<ConfirmPacket> {
+    static constexpr Wire kKind = Wire::kConfirm;
+    static constexpr std::size_t kMaxEntries = 4'096;
     NodeId sender = 0;
     GroupId group = 0;
     EpochNum epoch = 0;
@@ -93,32 +113,47 @@ struct ConfirmPacket {
         SeqNum seq = 0;
         Digest32 digest{};
         Bytes signature;
+
+        template <class IO, class M>
+        static void fields(IO& io, M& m) {
+            io(m.seq, m.digest);
+            io.blob(m.signature, kMaxSignature);
+        }
     };
     std::vector<Entry> entries;
 
-    Bytes serialize() const;
-    static ConfirmPacket parse(Reader& r);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.sender, m.group, m.epoch);
+        io.list(m.entries, kMaxEntries);
+    }
 };
 
 /// Receiver -> config service: this group's sequencer looks faulty; please
 /// install a new one for `next_epoch`.
-struct FailoverRequest {
+struct FailoverRequest : wire::Message<FailoverRequest> {
+    static constexpr Wire kKind = Wire::kFailoverReq;
     NodeId sender = 0;
     GroupId group = 0;
     EpochNum next_epoch = 0;
 
-    Bytes serialize() const;
-    static FailoverRequest parse(Reader& r);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.sender, m.group, m.next_epoch);
+    }
 };
 
 /// Config service -> receivers/senders: a new sequencer is live.
-struct NewEpochAnnouncement {
+struct NewEpochAnnouncement : wire::Message<NewEpochAnnouncement> {
+    static constexpr Wire kKind = Wire::kNewEpoch;
     GroupId group = 0;
     EpochNum epoch = 0;
     NodeId sequencer = kInvalidNode;
 
-    Bytes serialize() const;
-    static NewEpochAnnouncement parse(Reader& r);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.group, m.epoch, m.sequencer);
+    }
 };
 
 /// Canonical byte string authenticated by the sequencer for a message:

@@ -28,28 +28,48 @@ enum class KvOpType : std::uint8_t {
     kTxnAbort = 7,    // 2PC phase 2: discard the staged write-set
 };
 
-struct KvOp {
+/// Decoding caps.
+constexpr std::size_t kMaxKey = 1'024;
+constexpr std::size_t kMaxValue = 64 * 1'024;
+constexpr std::size_t kMaxTxnOps = 1'024;
+
+struct KvOp : wire::Message<KvOp> {
     KvOpType type = KvOpType::kGet;
     Bytes key;
     Bytes value;  // kPut only
 
-    Bytes serialize() const;
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.type);
+        io.check(m.type >= KvOpType::kGet && m.type <= KvOpType::kDelete, "bad kv op type");
+        io.blob(m.key, kMaxKey);
+        if (m.type == KvOpType::kPut) io.blob(m.value, kMaxValue);
+    }
     /// Returns nullopt on malformed input (Byzantine clients). Parses the
     /// single-key forms only; transactions use KvTxnOp.
-    static std::optional<KvOp> parse(BytesView data);
+    static std::optional<KvOp> parse(BytesView data) { return wire::try_decode<KvOp>(data); }
 };
 
 /// Transaction wire forms:
 ///   kTxnLocal:   type, u32 n, n x blob(KvOp)
 ///   kTxnPrepare: type, u64 txn_id, u32 n, n x blob(KvOp)
 ///   kTxnCommit / kTxnAbort: type, u64 txn_id
-struct KvTxnOp {
+struct KvTxnOp : wire::Message<KvTxnOp> {
     KvOpType type = KvOpType::kTxnLocal;
     std::uint64_t txn_id = 0;  // globally unique; 0 for kTxnLocal
     std::vector<KvOp> ops;     // the single-key ops (empty for commit/abort)
 
-    Bytes serialize() const;
-    static std::optional<KvTxnOp> parse(BytesView data);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.type);
+        io.check(m.type >= KvOpType::kTxnLocal && m.type <= KvOpType::kTxnAbort, "bad txn type");
+        if (m.type != KvOpType::kTxnLocal) io(m.txn_id);
+        if (m.type == KvOpType::kTxnLocal || m.type == KvOpType::kTxnPrepare) {
+            io.framed(m.ops, kMaxTxnOps, 8 + kMaxKey + kMaxValue);
+            io.check(!m.ops.empty(), "empty transaction");
+        }
+    }
+    static std::optional<KvTxnOp> parse(BytesView data) { return wire::try_decode<KvTxnOp>(data); }
 };
 
 /// Result encoding: status byte + optional value.
@@ -64,12 +84,17 @@ enum class KvStatus : std::uint8_t {
                        // no locks were taken, the coordinator should retry
 };
 
-struct KvResult {
+struct KvResult : wire::Message<KvResult> {
     KvStatus status = KvStatus::kOk;
     Bytes value;
 
-    Bytes serialize() const;
-    static std::optional<KvResult> parse(BytesView data);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.status);
+        io.check(m.status <= KvStatus::kTxnWait, "bad kv status");
+        io.blob(m.value, kMaxValue);
+    }
+    static std::optional<KvResult> parse(BytesView data) { return wire::try_decode<KvResult>(data); }
 };
 
 class KvStateMachine : public StateMachine {

@@ -8,11 +8,6 @@
 
 namespace neo::baselines {
 
-namespace {
-constexpr std::size_t kMaxOp = 1u << 20;
-constexpr std::size_t kMaxBatch = 4'096;
-}  // namespace
-
 const char* kind_name(std::uint8_t kind) {
     switch (static_cast<Kind>(kind)) {
         case Kind::kRequest: return "request";
@@ -35,95 +30,7 @@ const char* kind_name(std::uint8_t kind) {
     }
 }
 
-// ---------------- Request ----------------
-
-Bytes Request::mac_body() const {
-    Writer w(32 + op.size());
-    w.str("bft-request");
-    w.u32(client);
-    w.u64(request_id);
-    w.blob(op);
-    return std::move(w).take();
-}
-
-Bytes Request::serialize() const {
-    Writer w(48 + op.size());
-    w.u8(static_cast<std::uint8_t>(Kind::kRequest));
-    w.u32(client);
-    w.u64(request_id);
-    w.blob(op);
-    w.blob(mac);
-    return std::move(w).take();
-}
-
-Request Request::parse(Reader& r) {
-    Request m;
-    m.client = r.u32();
-    m.request_id = r.u64();
-    m.op = r.blob(kMaxOp);
-    m.mac = r.blob(64);
-    r.expect_end();
-    return m;
-}
-
-Digest32 Request::digest() const { return crypto::sha256(mac_body()); }
-
-// ---------------- Reply ----------------
-
-Bytes Reply::mac_body() const {
-    Writer w(48 + result.size());
-    w.str("bft-reply");
-    w.u64(view);
-    w.u32(replica);
-    w.u64(request_id);
-    w.blob(result);
-    return std::move(w).take();
-}
-
-Bytes Reply::serialize() const {
-    Writer w(64 + result.size());
-    w.u8(static_cast<std::uint8_t>(Kind::kReply));
-    w.u64(view);
-    w.u32(replica);
-    w.u64(request_id);
-    w.blob(result);
-    w.blob(mac);
-    return std::move(w).take();
-}
-
-Reply Reply::parse(Reader& r) {
-    Reply m;
-    m.view = r.u64();
-    m.replica = r.u32();
-    m.request_id = r.u64();
-    m.result = r.blob(kMaxOp);
-    m.mac = r.blob(64);
-    r.expect_end();
-    return m;
-}
-
-// ---------------- Batch helpers ----------------
-
-void put_batch(Writer& w, const std::vector<Request>& batch) {
-    w.u32(static_cast<std::uint32_t>(batch.size()));
-    for (const auto& req : batch) w.blob(req.serialize());
-}
-
-std::vector<Request> get_batch(Reader& r) {
-    std::uint32_t n = r.u32();
-    if (n > kMaxBatch) throw CodecError("oversized batch");
-    std::vector<Request> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        Bytes b = r.blob();
-        Reader br(b);
-        if (br.u8() != static_cast<std::uint8_t>(Kind::kRequest)) {
-            throw CodecError("expected request in batch");
-        }
-        out.push_back(Request::parse(br));
-    }
-    return out;
-}
+Digest32 Request::digest() const { return crypto::sha256(signed_body()); }
 
 Digest32 batch_digest(const std::vector<Request>& batch) {
     crypto::Sha256 ctx;
@@ -175,7 +82,7 @@ void LeaderReplica::handle(NodeId from, BytesView data) {
         Reader r(data.subspan(1));
         const auto kind = static_cast<Kind>(data[0]);
         if (kind == Kind::kRequest) {
-            on_request(from, r);
+            on_request(from, Request::parse(r));
         } else {
             on_message(kind, from, r);
         }
@@ -183,8 +90,7 @@ void LeaderReplica::handle(NodeId from, BytesView data) {
     }
 }
 
-void LeaderReplica::on_request(NodeId from, Reader& r) {
-    Request req = Request::parse(r);
+void LeaderReplica::on_request(NodeId from, Request req) {
     if (req.client != from) return;
 
     auto it = clients_.find(req.client);
@@ -195,7 +101,7 @@ void LeaderReplica::on_request(NodeId from, Reader& r) {
         return;
     }
     if (!is_primary()) return;  // backups rely on the client retry/broadcast
-    if (!crypto_->check_mac_from(req.client, req.mac_body(), req.mac)) return;
+    if (!crypto_->check_mac_from(req.client, req.signed_body(), req.mac)) return;
 
     // Request-scoped "batch" span: begins when the leader queues the
     // request and ends at the seal; the critical-path analyzer reports the
@@ -254,7 +160,7 @@ sim::Packet LeaderReplica::make_reply(const Request& req, Bytes result) {
     reply.replica = id();
     reply.request_id = req.request_id;
     reply.result = std::move(result);
-    reply.mac = crypto_->mac_for(req.client, reply.mac_body());
+    reply.mac = crypto_->mac_for(req.client, reply.signed_body());
     return sim::Packet(reply.serialize());
 }
 
@@ -291,7 +197,7 @@ void QuorumClient::invoke(Bytes op, Callback cb) {
     req.client = id();
     req.request_id = next_request_id_++;
     req.op = std::move(op);
-    req.mac = crypto_->mac_for(cfg_.primary(0), req.mac_body());
+    req.mac = crypto_->mac_for(cfg_.primary(0), req.signed_body());
 
     Outstanding out;
     out.request_id = req.request_id;
@@ -323,7 +229,7 @@ void QuorumClient::handle(NodeId from, BytesView data) {
         Reply reply = Reply::parse(r);
         if (!outstanding_.has_value() || reply.request_id != outstanding_->request_id) return;
         if (reply.replica != from || !cfg_.is_replica(from)) return;
-        if (!crypto_->check_mac_from(from, reply.mac_body(), reply.mac)) return;
+        if (!crypto_->check_mac_from(from, reply.signed_body(), reply.mac)) return;
 
         auto& votes = outstanding_->votes[reply.result];
         votes.insert(from);
@@ -360,20 +266,16 @@ void UnreplicatedServer::handle(NodeId from, BytesView data) {
     if (data.empty() || data[0] != static_cast<std::uint8_t>(Kind::kUnrepRequest)) return;
     try {
         Reader r(data.subspan(1));
-        std::uint64_t request_id = r.u64();
-        Bytes op = r.blob();
-        Bytes mac = r.blob(64);
-        r.expect_end();
-        if (!crypto_->check_mac_from(from, op, mac)) return;
+        UnrepRequest req = UnrepRequest::parse(r);
+        if (!crypto_->check_mac_from(from, req.op, req.mac)) return;
         ++handled_;
         probe_.on_execute_wire(*this, data);
 
-        Writer w(32 + op.size());
-        w.u8(static_cast<std::uint8_t>(Kind::kUnrepReply));
-        w.u64(request_id);
-        w.blob(op);  // echo
-        w.blob(crypto_->mac_for(from, op));
-        send_to(from, std::move(w).take());
+        UnrepReply reply;
+        reply.request_id = req.request_id;
+        reply.mac = crypto_->mac_for(from, req.op);
+        reply.result = std::move(req.op);  // echo
+        send_to(from, reply.serialize());
     } catch (const CodecError&) {
     }
 }
@@ -386,14 +288,12 @@ UnreplicatedClient::UnreplicatedClient(NodeId server, std::unique_ptr<crypto::No
 
 void UnreplicatedClient::invoke(Bytes op, Callback cb) {
     NEO_ASSERT(!outstanding_.has_value());
-    std::uint64_t rid = next_request_id_++;
-    outstanding_ = {rid, std::move(cb)};
-    Writer w(32 + op.size());
-    w.u8(static_cast<std::uint8_t>(Kind::kUnrepRequest));
-    w.u64(rid);
-    w.blob(op);
-    w.blob(crypto_->mac_for(server_, op));
-    Bytes wire = std::move(w).take();
+    UnrepRequest req;
+    req.request_id = next_request_id_++;
+    req.mac = crypto_->mac_for(server_, op);
+    req.op = std::move(op);
+    outstanding_ = {req.request_id, std::move(cb)};
+    Bytes wire = req.serialize();
     if (obs::TraceSink* tr = sim().trace()) {
         trace_id_ = obs::trace_id(wire);
         tr->span_begin(sim().now(), id(), "request", trace_id_);
@@ -408,18 +308,15 @@ void UnreplicatedClient::handle(NodeId from, BytesView data) {
     }
     try {
         Reader r(data.subspan(1));
-        std::uint64_t rid = r.u64();
-        Bytes result = r.blob();
-        Bytes mac = r.blob(64);
-        r.expect_end();
-        if (!outstanding_.has_value() || outstanding_->first != rid) return;
-        if (!crypto_->check_mac_from(from, result, mac)) return;
+        UnrepReply reply = UnrepReply::parse(r);
+        if (!outstanding_.has_value() || outstanding_->first != reply.request_id) return;
+        if (!crypto_->check_mac_from(from, reply.result, reply.mac)) return;
         Callback cb = std::move(outstanding_->second);
         if (obs::TraceSink* tr = sim().trace()) {
             tr->span_end(sim().now(), id(), "request", trace_id_, from);
         }
         outstanding_.reset();
-        cb(std::move(result));
+        cb(std::move(reply.result));
     } catch (const CodecError&) {
     }
 }

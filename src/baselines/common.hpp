@@ -1,5 +1,5 @@
 // Shared infrastructure for the four comparison protocols (PBFT, Zyzzyva,
-// HotStuff, MinBFT): request/reply wire formats, batching, the
+// HotStuff, MinBFT): request/reply field lists, batching, the
 // leader-replica core every protocol's replica derives from, a generic
 // leader-directed client, and the unreplicated echo server baseline.
 //
@@ -21,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "apps/state_machine.hpp"
@@ -105,34 +106,49 @@ struct BaseConfig {
 
 // ---------------- Request / Reply ----------------
 
-struct Request {
+/// Decoding caps.
+constexpr std::size_t kMaxOp = 1u << 20;
+constexpr std::size_t kMaxBatch = 4'096;
+constexpr std::size_t kMaxSignature = 256;
+constexpr std::size_t kMaxMac = 64;
+
+struct Request : wire::Message<Request> {
+    static constexpr Kind kKind = Kind::kRequest;
+    static constexpr std::string_view kTag = "bft-request";
     NodeId client = 0;
     std::uint64_t request_id = 0;
     Bytes op;
     Bytes mac;  // pairwise MAC to the primary (verified and re-MACed on forward)
 
-    Bytes mac_body() const;
-    Bytes serialize() const;
-    static Request parse(Reader& r);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.client, m.request_id);
+        io.blob(m.op, kMaxOp);
+        io.auth(m.mac, kMaxMac);
+    }
     /// Digest identifying the request inside batches.
     Digest32 digest() const;
 };
 
-struct Reply {
+struct Reply : wire::Message<Reply> {
+    static constexpr Kind kKind = Kind::kReply;
+    static constexpr std::string_view kTag = "bft-reply";
     std::uint64_t view = 0;
     NodeId replica = 0;
     std::uint64_t request_id = 0;
     Bytes result;
     Bytes mac;
 
-    Bytes mac_body() const;
-    Bytes serialize() const;
-    static Reply parse(Reader& r);
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.replica, m.request_id);
+        io.blob(m.result, kMaxOp);
+        io.auth(m.mac, kMaxMac);
+    }
 };
 
-/// Serialization helpers for request batches.
-void put_batch(Writer& w, const std::vector<Request>& batch);
-std::vector<Request> get_batch(Reader& r);
+/// Request batches travel as `io.framed(batch, kMaxBatch)`: a u32 count,
+/// then each request's encoding, length-prefixed.
 Digest32 batch_digest(const std::vector<Request>& batch);
 
 // ---------------- Batcher ----------------
@@ -240,7 +256,8 @@ class LeaderReplica : public sim::ProcessingNode {
     /// requests and passes every other kind to on_message.
     void handle(NodeId from, BytesView data) override;
 
-    /// A protocol message; `r` is positioned after the kind byte.
+    /// A protocol message; `r` is positioned after the kind byte. The
+    /// protocol parses it into its message struct and handles that.
     virtual void on_message(Kind kind, NodeId from, Reader& r) = 0;
     /// Orders a batch the leader has just sealed.
     virtual void order_batch(std::vector<Request> batch) = 0;
@@ -270,7 +287,7 @@ class LeaderReplica : public sim::ProcessingNode {
     std::uint64_t checkpoints_ = 0;
 
   private:
-    void on_request(NodeId from, Reader& r);
+    void on_request(NodeId from, Request req);
     void seal_batch();
 
     std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
@@ -324,6 +341,35 @@ class QuorumClient : public sim::ProcessingNode {
 };
 
 // ---------------- Unreplicated baseline ----------------
+
+/// Client -> server. The MACs cover the op and the echoed result alone.
+struct UnrepRequest : wire::Message<UnrepRequest> {
+    static constexpr Kind kKind = Kind::kUnrepRequest;
+    std::uint64_t request_id = 0;
+    Bytes op;
+    Bytes mac;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.request_id);
+        io.blob(m.op, Reader::kDefaultMaxBlob);
+        io.auth(m.mac, kMaxMac);
+    }
+};
+
+struct UnrepReply : wire::Message<UnrepReply> {
+    static constexpr Kind kKind = Kind::kUnrepReply;
+    std::uint64_t request_id = 0;
+    Bytes result;
+    Bytes mac;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.request_id);
+        io.blob(m.result, Reader::kDefaultMaxBlob);
+        io.auth(m.mac, kMaxMac);
+    }
+};
 
 /// Plain echo-RPC server: the "Unreplicated" line in Fig 7.
 class UnreplicatedServer : public sim::ProcessingNode {

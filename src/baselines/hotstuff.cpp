@@ -11,32 +11,21 @@ HotStuffReplica::HotStuffReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCry
 
 void HotStuffReplica::on_message(Kind kind, NodeId from, Reader& r) {
     switch (kind) {
-        case Kind::kHsProposal: on_proposal(from, r); break;
-        case Kind::kHsVote: on_vote(from, r); break;
+        case Kind::kHsProposal: on_proposal(from, HsProposal::parse(r)); break;
+        case Kind::kHsVote: on_vote(from, HsVote::parse(r)); break;
         default: break;
     }
 }
 
-Bytes HotStuffReplica::vote_body(int phase, std::uint64_t seq, const Digest32& digest,
-                                 NodeId replica) const {
-    Writer w(64);
-    w.str("hotstuff-vote");
-    w.u8(static_cast<std::uint8_t>(phase));
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(digest.data(), digest.size()));
-    w.u32(replica);
-    return std::move(w).take();
-}
-
-Bytes HotStuffReplica::proposal_body(int phase, std::uint64_t seq, const Digest32& digest) const {
-    Writer w(64);
-    w.str("hotstuff-proposal");
-    w.u8(static_cast<std::uint8_t>(phase));
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(digest.data(), digest.size()));
-    return std::move(w).take();
+HsVote HotStuffReplica::vote(int phase, std::uint64_t seq, const Digest32& digest,
+                             NodeId replica) const {
+    HsVote v;
+    v.phase = static_cast<std::uint8_t>(phase);
+    v.view = view_;
+    v.seq = seq;
+    v.digest = digest;
+    v.replica = replica;
+    return v;
 }
 
 bool HotStuffReplica::verify_qc(int phase, std::uint64_t seq, const Digest32& digest,
@@ -45,12 +34,26 @@ bool HotStuffReplica::verify_qc(int phase, std::uint64_t seq, const Digest32& di
     std::size_t valid = 0;
     for (const auto& s : qc) {
         if (!cfg_.is_replica(s.replica) || !seen.insert(s.replica).second) continue;
-        if (!crypto_->verify(s.replica, vote_body(phase, seq, digest, s.replica), s.signature)) {
+        if (!crypto_->verify(s.replica, vote(phase, seq, digest, s.replica).signed_body(),
+                             s.signature)) {
             continue;
         }
         ++valid;
     }
     return valid >= static_cast<std::size_t>(2 * cfg_.f + 1);
+}
+
+void HotStuffReplica::propose(int phase, std::uint64_t seq, const Digest32& digest,
+                              std::vector<Request> batch, std::vector<crypto::SignerSig> qc) {
+    HsProposal p;
+    p.phase = static_cast<std::uint8_t>(phase);
+    p.view = view_;
+    p.seq = seq;
+    p.digest = digest;
+    p.batch = std::move(batch);
+    p.qc = std::move(qc);
+    p.signature = crypto_->sign(p.signed_body());
+    broadcast(cfg_.others(id()), p.serialize());
 }
 
 void HotStuffReplica::order_batch(std::vector<Request> batch) {
@@ -61,55 +64,37 @@ void HotStuffReplica::order_batch(std::vector<Request> batch) {
     inst.batch = batch;
     inst.digest = digest;
 
-    // PREPARE proposal carries the batch; later phases carry QCs only.
-    Writer w(256);
-    w.u8(static_cast<std::uint8_t>(Kind::kHsProposal));
-    w.u8(0);  // phase
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(digest.data(), digest.size()));
-    put_batch(w, batch);
-    crypto::put_signer_sigs(w, {});  // no justify QC for the prepare phase
-    w.blob(crypto_->sign(proposal_body(0, seq, digest)));
-    broadcast(cfg_.others(id()), std::move(w).take());
+    // PREPARE proposal carries the batch and no justify QC; later phases
+    // carry QCs only.
+    propose(0, seq, digest, std::move(batch), {});
 
     // Leader votes for its own proposal.
-    inst.votes[0][id()] = crypto_->sign(vote_body(0, seq, digest, id()));
+    inst.votes[0][id()] = crypto_->sign(vote(0, seq, digest, id()).signed_body());
     inst.phase = 0;
     leader_try_advance(seq);
 }
 
-void HotStuffReplica::on_proposal(NodeId from, Reader& r) {
-    int phase = r.u8();
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 digest = r.digest32();
-    std::vector<Request> batch;
-    if (phase == 0) batch = get_batch(r);
-    std::vector<crypto::SignerSig> qc = crypto::get_signer_sigs(r);
-    Bytes sig = r.blob(256);
-    r.expect_end();
+void HotStuffReplica::on_proposal(NodeId from, HsProposal m) {
+    if (m.view != view_ || from != cfg_.primary(view_)) return;
+    if (m.phase > 3) return;
+    if (m.seq <= stable_checkpoint_) return;  // pre-checkpoint: instance GC'd
+    if (!crypto_->verify(from, m.signed_body(), m.signature)) return;
 
-    if (view != view_ || from != cfg_.primary(view_)) return;
-    if (phase < 0 || phase > 3) return;
-    if (seq <= stable_checkpoint_) return;  // pre-checkpoint: instance GC'd
-    if (!crypto_->verify(from, proposal_body(phase, seq, digest), sig)) return;
-
-    Instance& inst = instances_[seq];
-    if (phase == 0) {
-        if (batch_digest(batch) != digest) return;
-        if (!inst.batch.empty() && inst.digest != digest) return;
-        inst.batch = std::move(batch);
-        inst.digest = digest;
-        send_vote(seq, 0, digest);
+    Instance& inst = instances_[m.seq];
+    if (m.phase == 0) {
+        if (batch_digest(m.batch) != m.digest) return;
+        if (!inst.batch.empty() && inst.digest != m.digest) return;
+        inst.batch = std::move(m.batch);
+        inst.digest = m.digest;
+        send_vote(m.seq, 0, m.digest);
         return;
     }
-    if (inst.digest != digest || inst.batch.empty()) return;
+    if (inst.digest != m.digest || inst.batch.empty()) return;
     // Phases 1..3 justify with the previous phase's QC.
-    if (!verify_qc(phase - 1, seq, digest, qc)) return;
+    if (!verify_qc(m.phase - 1, m.seq, m.digest, m.qc)) return;
 
-    if (phase < 3) {
-        send_vote(seq, phase, digest);
+    if (m.phase < 3) {
+        send_vote(m.seq, m.phase, m.digest);
     } else {
         inst.decided = true;
         try_execute();
@@ -117,36 +102,22 @@ void HotStuffReplica::on_proposal(NodeId from, Reader& r) {
 }
 
 void HotStuffReplica::send_vote(std::uint64_t seq, int phase, const Digest32& digest) {
-    Writer w(128);
-    w.u8(static_cast<std::uint8_t>(Kind::kHsVote));
-    w.u8(static_cast<std::uint8_t>(phase));
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(digest.data(), digest.size()));
-    w.u32(id());
-    w.blob(crypto_->sign(vote_body(phase, seq, digest, id())));
-    send_to(cfg_.primary(view_), std::move(w).take());
+    HsVote v = vote(phase, seq, digest, id());
+    v.signature = crypto_->sign(v.signed_body());
+    send_to(cfg_.primary(view_), v.serialize());
     instances_[seq].phase = phase;
 }
 
-void HotStuffReplica::on_vote(NodeId from, Reader& r) {
-    int phase = r.u8();
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 digest = r.digest32();
-    NodeId replica = r.u32();
-    Bytes sig = r.blob(256);
-    r.expect_end();
-
-    if (view != view_ || !is_primary()) return;
-    if (replica != from || !cfg_.is_replica(from)) return;
-    if (phase < 0 || phase > 2) return;
-    if (seq <= stable_checkpoint_) return;  // stale vote for a GC'd instance
-    Instance& inst = instances_[seq];
-    if (inst.digest != digest) return;
-    if (!crypto_->verify(from, vote_body(phase, seq, digest, replica), sig)) return;
-    inst.votes[phase][from] = std::move(sig);
-    leader_try_advance(seq);
+void HotStuffReplica::on_vote(NodeId from, HsVote m) {
+    if (m.view != view_ || !is_primary()) return;
+    if (m.replica != from || !cfg_.is_replica(from)) return;
+    if (m.phase > 2) return;
+    if (m.seq <= stable_checkpoint_) return;  // stale vote for a GC'd instance
+    Instance& inst = instances_[m.seq];
+    if (inst.digest != m.digest) return;
+    if (!crypto_->verify(from, m.signed_body(), m.signature)) return;
+    inst.votes[m.phase][from] = std::move(m.signature);
+    leader_try_advance(m.seq);
 }
 
 void HotStuffReplica::leader_try_advance(std::uint64_t seq) {
@@ -163,20 +134,12 @@ void HotStuffReplica::leader_try_advance(std::uint64_t seq) {
         }
 
         int next_phase = phase + 1;
-        Writer w(512);
-        w.u8(static_cast<std::uint8_t>(Kind::kHsProposal));
-        w.u8(static_cast<std::uint8_t>(next_phase));
-        w.u64(view_);
-        w.u64(seq);
-        w.raw(BytesView(inst.digest.data(), inst.digest.size()));
-        crypto::put_signer_sigs(w, qc);
-        w.blob(crypto_->sign(proposal_body(next_phase, seq, inst.digest)));
-        broadcast(cfg_.others(id()), std::move(w).take());
+        propose(next_phase, seq, inst.digest, {}, std::move(qc));
 
         if (next_phase < 3) {
             // Leader's own vote for the next phase.
             inst.votes[next_phase][id()] =
-                crypto_->sign(vote_body(next_phase, seq, inst.digest, id()));
+                crypto_->sign(vote(next_phase, seq, inst.digest, id()).signed_body());
         } else {
             inst.decided = true;
             try_execute();

@@ -13,6 +13,49 @@
 
 namespace neo::baselines {
 
+/// Leader -> replicas. Phase 0 (prepare) carries the batch, phases 1..3
+/// the previous phase's quorum certificate; the signature covers (phase,
+/// view, seq, digest).
+struct HsProposal : wire::Message<HsProposal> {
+    static constexpr Kind kKind = Kind::kHsProposal;
+    static constexpr std::string_view kTag = "hotstuff-proposal";
+    std::uint8_t phase = 0;
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    Digest32 digest{};
+    std::vector<Request> batch;         // phase 0
+    std::vector<crypto::SignerSig> qc;  // phases 1..3
+    Bytes signature;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.phase, m.view, m.seq, m.digest);
+        if (io.on_wire()) {
+            if (m.phase == 0) io.framed(m.batch, kMaxBatch);
+            io.list(m.qc, crypto::kMaxQuorum);
+        }
+        io.auth(m.signature, kMaxSignature);
+    }
+};
+
+/// Replica -> leader; 2f+1 vote signatures form the phase's certificate.
+struct HsVote : wire::Message<HsVote> {
+    static constexpr Kind kKind = Kind::kHsVote;
+    static constexpr std::string_view kTag = "hotstuff-vote";
+    std::uint8_t phase = 0;
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    Digest32 digest{};
+    NodeId replica = 0;
+    Bytes signature;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.phase, m.view, m.seq, m.digest, m.replica);
+        io.auth(m.signature, kMaxSignature);
+    }
+};
+
 class HotStuffReplica : public LeaderReplica {
   public:
     HotStuffReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
@@ -36,15 +79,17 @@ class HotStuffReplica : public LeaderReplica {
         bool executed = false;
     };
 
-    void on_proposal(NodeId from, Reader& r);
-    void on_vote(NodeId from, Reader& r);
+    void on_proposal(NodeId from, HsProposal m);
+    void on_vote(NodeId from, HsVote m);
+    void propose(int phase, std::uint64_t seq, const Digest32& digest, std::vector<Request> batch,
+                 std::vector<crypto::SignerSig> qc);
     void send_vote(std::uint64_t seq, int phase, const Digest32& digest);
     void leader_try_advance(std::uint64_t seq);
     void try_execute();
     void maybe_checkpoint();
 
-    Bytes vote_body(int phase, std::uint64_t seq, const Digest32& digest, NodeId replica) const;
-    Bytes proposal_body(int phase, std::uint64_t seq, const Digest32& digest) const;
+    /// `replica`'s unsigned vote in `phase` for (view_, seq, digest).
+    HsVote vote(int phase, std::uint64_t seq, const Digest32& digest, NodeId replica) const;
     bool verify_qc(int phase, std::uint64_t seq, const Digest32& digest,
                    const std::vector<crypto::SignerSig>& qc);
 

@@ -13,8 +13,8 @@ MinbftReplica::MinbftReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto>
 
 void MinbftReplica::on_message(Kind kind, NodeId from, Reader& r) {
     switch (kind) {
-        case Kind::kMbPrepare: on_prepare(from, r); break;
-        case Kind::kMbCommit: on_commit(from, r); break;
+        case Kind::kMbPrepare: on_prepare(from, MbPrepare::parse(r)); break;
+        case Kind::kMbCommit: on_commit(from, MbCommit::parse(r)); break;
         default: break;
     }
 }
@@ -42,91 +42,68 @@ Digest32 MinbftReplica::prepare_digest(std::uint64_t view, std::uint64_t seq,
     return crypto::sha256(w.bytes());
 }
 
+void MinbftReplica::send_commit(std::uint64_t seq, const Digest32& digest) {
+    MbCommit m;
+    m.ui = metered_create(digest);
+    m.view = view_;
+    m.seq = seq;
+    m.digest = digest;
+    m.replica = id();
+    broadcast(cfg_.others(id()), m.serialize());
+}
+
 void MinbftReplica::order_batch(std::vector<Request> batch) {
-    Digest32 bd = batch_digest(batch);
-    std::uint64_t seq = next_seq_++;
-    Usig::UI ui = metered_create(prepare_digest(view_, seq, bd));
+    MbPrepare m;
+    m.view = view_;
+    m.seq = next_seq_++;
+    const Digest32 bd = batch_digest(batch);
+    m.ui = metered_create(prepare_digest(view_, m.seq, bd));
+    m.batch = std::move(batch);
+    broadcast(cfg_.others(id()), m.serialize());
 
-    Writer w(256);
-    w.u8(static_cast<std::uint8_t>(Kind::kMbPrepare));
-    w.u64(view_);
-    w.u64(seq);
-    put_batch(w, batch);
-    ui.put(w);
-    broadcast(cfg_.others(id()), std::move(w).take());
-
-    Slot& slot = slots_[seq];
-    slot.batch = std::move(batch);
+    Slot& slot = slots_[m.seq];
+    slot.batch = std::move(m.batch);
     slot.digest = bd;
     slot.have_prepare = true;
 
     // Primary's own commit.
-    Usig::UI commit_ui = metered_create(slot.digest);
-    Writer cw(128);
-    cw.u8(static_cast<std::uint8_t>(Kind::kMbCommit));
-    cw.u64(view_);
-    cw.u64(seq);
-    cw.raw(BytesView(slot.digest.data(), slot.digest.size()));
-    cw.u32(id());
-    commit_ui.put(cw);
-    broadcast(cfg_.others(id()), std::move(cw).take());
+    send_commit(m.seq, slot.digest);
     slot.commits.insert(id());
     slot.commit_sent = true;
     try_execute();
 }
 
-void MinbftReplica::on_prepare(NodeId from, Reader& r) {
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    std::vector<Request> batch = get_batch(r);
-    Usig::UI ui = Usig::UI::get(r);
-    r.expect_end();
-
-    if (view != view_ || from != cfg_.primary(view_)) return;
-    if (seq <= stable_checkpoint_) return;  // pre-checkpoint: slot GC'd
-    Digest32 bd = batch_digest(batch);
-    if (!metered_verify(from, prepare_digest(view, seq, bd), ui)) return;
+void MinbftReplica::on_prepare(NodeId from, MbPrepare m) {
+    if (m.view != view_ || from != cfg_.primary(view_)) return;
+    if (m.seq <= stable_checkpoint_) return;  // pre-checkpoint: slot GC'd
+    Digest32 bd = batch_digest(m.batch);
+    if (!metered_verify(from, prepare_digest(m.view, m.seq, bd), m.ui)) return;
     // Sequentiality: the trusted counter must strictly advance, so the
     // primary cannot equivocate or replay prepares.
     std::uint64_t& last = peer_counters_[from];
-    if (ui.counter <= last) return;
-    last = ui.counter;
+    if (m.ui.counter <= last) return;
+    last = m.ui.counter;
 
-    Slot& slot = slots_[seq];
-    slot.batch = std::move(batch);
+    Slot& slot = slots_[m.seq];
+    slot.batch = std::move(m.batch);
     slot.digest = bd;
     slot.have_prepare = true;
 
     if (!slot.commit_sent) {
         slot.commit_sent = true;
-        Usig::UI commit_ui = metered_create(slot.digest);
-        Writer w(128);
-        w.u8(static_cast<std::uint8_t>(Kind::kMbCommit));
-        w.u64(view_);
-        w.u64(seq);
-        w.raw(BytesView(slot.digest.data(), slot.digest.size()));
-        w.u32(id());
-        commit_ui.put(w);
-        broadcast(cfg_.others(id()), std::move(w).take());
+        send_commit(m.seq, slot.digest);
         slot.commits.insert(id());
     }
     try_execute();
 }
 
-void MinbftReplica::on_commit(NodeId from, Reader& r) {
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 digest = r.digest32();
-    NodeId replica = r.u32();
-    Usig::UI ui = Usig::UI::get(r);
-    r.expect_end();
+void MinbftReplica::on_commit(NodeId from, const MbCommit& m) {
+    if (m.view != view_ || m.replica != from || !cfg_.is_replica(from)) return;
+    if (m.seq <= stable_checkpoint_) return;  // stale commit for a GC'd slot
+    if (!metered_verify(from, m.digest, m.ui)) return;
 
-    if (view != view_ || replica != from || !cfg_.is_replica(from)) return;
-    if (seq <= stable_checkpoint_) return;  // stale commit for a GC'd slot
-    if (!metered_verify(from, digest, ui)) return;
-
-    Slot& slot = slots_[seq];
-    if (slot.have_prepare && slot.digest != digest) return;
+    Slot& slot = slots_[m.seq];
+    if (slot.have_prepare && slot.digest != m.digest) return;
     slot.commits.insert(from);
     try_execute();
 }

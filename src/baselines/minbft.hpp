@@ -21,15 +21,10 @@ class Usig {
         std::uint64_t counter = 0;
         Bytes tag;  // HMAC over (owner, counter, message digest)
 
-        void put(Writer& w) const {
-            w.u64(counter);
-            w.blob(tag);
-        }
-        static UI get(Reader& r) {
-            UI ui;
-            ui.counter = r.u64();
-            ui.tag = r.blob(64);
-            return ui;
+        template <class IO, class M>
+        static void fields(IO& io, M& m) {
+            io(m.counter);
+            io.blob(m.tag, kMaxMac);
         }
     };
 
@@ -76,6 +71,38 @@ class Usig {
     std::uint64_t counter_ = 0;
 };
 
+/// Primary -> backups: the batch with the USIG identifier the primary's
+/// trusted counter assigned to (view, seq, batch digest).
+struct MbPrepare : wire::Message<MbPrepare> {
+    static constexpr Kind kKind = Kind::kMbPrepare;
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    std::vector<Request> batch;
+    Usig::UI ui;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.seq);
+        io.framed(m.batch, kMaxBatch);
+        io(m.ui);
+    }
+};
+
+/// Every replica's commit, certified by its own USIG over the batch digest.
+struct MbCommit : wire::Message<MbCommit> {
+    static constexpr Kind kKind = Kind::kMbCommit;
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    Digest32 digest{};
+    NodeId replica = 0;
+    Usig::UI ui;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.seq, m.digest, m.replica, m.ui);
+    }
+};
+
 /// Virtual cost of one USIG call: an enclave transition plus the
 /// in-enclave HMAC, tens of microseconds on SGX-class hardware.
 constexpr sim::Time kUsigCallNs = 18'000;
@@ -104,8 +131,10 @@ class MinbftReplica : public LeaderReplica {
         bool executed = false;
     };
 
-    void on_prepare(NodeId from, Reader& r);
-    void on_commit(NodeId from, Reader& r);
+    void on_prepare(NodeId from, MbPrepare m);
+    void on_commit(NodeId from, const MbCommit& m);
+    /// Creates this replica's commit for `seq` and sends it to the others.
+    void send_commit(std::uint64_t seq, const Digest32& digest);
     void try_execute();
     void maybe_checkpoint();
     Usig::UI metered_create(const Digest32& digest);

@@ -11,105 +11,63 @@ PbftReplica::PbftReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> cry
 
 void PbftReplica::on_message(Kind kind, NodeId from, Reader& r) {
     switch (kind) {
-        case Kind::kPrePrepare: on_preprepare(from, r); break;
-        case Kind::kPrepare: on_prepare(from, r); break;
-        case Kind::kCommit: on_commit(from, r); break;
-        case Kind::kCheckpoint: on_checkpoint(from, r); break;
+        case Kind::kPrePrepare: on_preprepare(from, PrePrepare::parse(r)); break;
+        case Kind::kPrepare: on_vote(from, Prepare::parse(r)); break;
+        case Kind::kCommit: on_vote(from, Commit::parse(r)); break;
+        case Kind::kCheckpoint: on_checkpoint(from, Checkpoint::parse(r)); break;
         default: break;
     }
 }
 
-Bytes PbftReplica::preprepare_body(std::uint64_t seq, const Digest32& digest) const {
-    Writer w(64);
-    w.str("pbft-preprepare");
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(digest.data(), digest.size()));
-    return std::move(w).take();
-}
-
-Bytes PbftReplica::phase_body(std::string_view tag, std::uint64_t seq, const Digest32& digest,
-                              NodeId replica) const {
-    Writer w(64);
-    w.str(tag);
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(digest.data(), digest.size()));
-    w.u32(replica);
-    return std::move(w).take();
+template <class Vote>
+Bytes PbftReplica::vote(std::uint64_t seq, const Digest32& digest) {
+    Vote m;
+    m.view = view_;
+    m.seq = seq;
+    m.digest = digest;
+    m.replica = id();
+    m.signature = crypto_->sign(m.signed_body());
+    return m.serialize();
 }
 
 void PbftReplica::order_batch(std::vector<Request> batch) {
-    std::uint64_t seq = next_seq_++;
-    Digest32 digest = batch_digest(batch);
+    PrePrepare m;
+    m.view = view_;
+    m.seq = next_seq_++;
+    m.digest = batch_digest(batch);
+    m.batch = std::move(batch);
+    m.signature = crypto_->sign(m.signed_body());
+    broadcast(cfg_.others(id()), m.serialize());
 
-    Writer w(256);
-    w.u8(static_cast<std::uint8_t>(Kind::kPrePrepare));
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(digest.data(), digest.size()));
-    put_batch(w, batch);
-    w.blob(crypto_->sign(preprepare_body(seq, digest)));
-    broadcast(cfg_.others(id()), std::move(w).take());
-
-    Slot& slot = slots_[seq];
-    slot.batch = std::move(batch);
-    slot.digest = digest;
+    Slot& slot = slots_[m.seq];
+    slot.batch = std::move(m.batch);
+    slot.digest = m.digest;
     slot.have_preprepare = true;
-    try_progress(seq);
+    try_progress(m.seq);
 }
 
-void PbftReplica::on_preprepare(NodeId from, Reader& r) {
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 digest = r.digest32();
-    std::vector<Request> batch = get_batch(r);
-    Bytes sig = r.blob(256);
-    r.expect_end();
+void PbftReplica::on_preprepare(NodeId from, PrePrepare m) {
+    if (m.view != view_ || from != cfg_.primary(view_)) return;
+    if (m.seq <= last_executed_) return;
+    if (batch_digest(m.batch) != m.digest) return;
+    if (!crypto_->verify(from, m.signed_body(), m.signature)) return;
 
-    if (view != view_ || from != cfg_.primary(view_)) return;
-    if (seq <= last_executed_) return;
-    if (batch_digest(batch) != digest) return;
-    if (!crypto_->verify(from, preprepare_body(seq, digest), sig)) return;
-
-    Slot& slot = slots_[seq];
-    if (slot.have_preprepare && slot.digest != digest) return;  // equivocation: ignore
-    slot.batch = std::move(batch);
-    slot.digest = digest;
+    Slot& slot = slots_[m.seq];
+    if (slot.have_preprepare && slot.digest != m.digest) return;  // equivocation: ignore
+    slot.batch = std::move(m.batch);
+    slot.digest = m.digest;
     slot.have_preprepare = true;
-    try_progress(seq);
+    try_progress(m.seq);
 }
 
-void PbftReplica::on_prepare(NodeId from, Reader& r) {
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 digest = r.digest32();
-    NodeId replica = r.u32();
-    Bytes sig = r.blob(256);
-    r.expect_end();
-
-    if (view != view_ || replica != from || !cfg_.is_replica(from)) return;
-    if (!crypto_->verify(from, phase_body("pbft-prepare", seq, digest, replica), sig)) return;
-    Slot& slot = slots_[seq];
-    if (slot.have_preprepare && slot.digest != digest) return;
-    slot.prepares.insert(from);
-    try_progress(seq);
-}
-
-void PbftReplica::on_commit(NodeId from, Reader& r) {
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 digest = r.digest32();
-    NodeId replica = r.u32();
-    Bytes sig = r.blob(256);
-    r.expect_end();
-
-    if (view != view_ || replica != from || !cfg_.is_replica(from)) return;
-    if (!crypto_->verify(from, phase_body("pbft-commit", seq, digest, replica), sig)) return;
-    Slot& slot = slots_[seq];
-    if (slot.have_preprepare && slot.digest != digest) return;
-    slot.commits.insert(from);
-    try_progress(seq);
+template <class Vote>
+void PbftReplica::on_vote(NodeId from, const Vote& m) {
+    if (m.view != view_ || m.replica != from || !cfg_.is_replica(from)) return;
+    if (!crypto_->verify(from, m.signed_body(), m.signature)) return;
+    Slot& slot = slots_[m.seq];
+    if (slot.have_preprepare && slot.digest != m.digest) return;
+    (std::is_same_v<Vote, Prepare> ? slot.prepares : slot.commits).insert(from);
+    try_progress(m.seq);
 }
 
 void PbftReplica::try_progress(std::uint64_t seq) {
@@ -121,30 +79,14 @@ void PbftReplica::try_progress(std::uint64_t seq) {
 
     if (!slot.prepare_sent) {
         slot.prepare_sent = true;
-        if (!is_primary()) {
-            Writer w(128);
-            w.u8(static_cast<std::uint8_t>(Kind::kPrepare));
-            w.u64(view_);
-            w.u64(seq);
-            w.raw(BytesView(slot.digest.data(), slot.digest.size()));
-            w.u32(id());
-            w.blob(crypto_->sign(phase_body("pbft-prepare", seq, slot.digest, id())));
-            broadcast(cfg_.others(id()), std::move(w).take());
-        }
+        if (!is_primary()) broadcast(cfg_.others(id()), vote<Prepare>(seq, slot.digest));
         slot.prepares.insert(id());
     }
 
     // Prepared: pre-prepare + 2f prepares (2f+1 counting the primary).
     if (!slot.commit_sent && slot.prepares.size() >= static_cast<std::size_t>(2 * cfg_.f + 1)) {
         slot.commit_sent = true;
-        Writer w(128);
-        w.u8(static_cast<std::uint8_t>(Kind::kCommit));
-        w.u64(view_);
-        w.u64(seq);
-        w.raw(BytesView(slot.digest.data(), slot.digest.size()));
-        w.u32(id());
-        w.blob(crypto_->sign(phase_body("pbft-commit", seq, slot.digest, id())));
-        broadcast(cfg_.others(id()), std::move(w).take());
+        broadcast(cfg_.others(id()), vote<Commit>(seq, slot.digest));
         slot.commits.insert(id());
     }
 
@@ -175,31 +117,20 @@ void PbftReplica::maybe_checkpoint() {
     std::uint64_t target = due_checkpoint();
     if (target == 0 || checkpoint_votes_[target].contains(id())) return;
 
-    Writer w(64);
-    w.u8(static_cast<std::uint8_t>(Kind::kCheckpoint));
-    w.u64(target);
-    w.u32(id());
-    Writer body(32);
-    body.str("pbft-checkpoint");
-    body.u64(target);
-    w.blob(crypto_->sign(body.bytes()));
-    broadcast(cfg_.others(id()), std::move(w).take());
+    Checkpoint m;
+    m.seq = target;
+    m.replica = id();
+    m.signature = crypto_->sign(m.signed_body());
+    broadcast(cfg_.others(id()), m.serialize());
     checkpoint_votes_[target].insert(id());
     on_checkpoint_quorum(target);
 }
 
-void PbftReplica::on_checkpoint(NodeId from, Reader& r) {
-    std::uint64_t seq = r.u64();
-    NodeId replica = r.u32();
-    Bytes sig = r.blob(256);
-    r.expect_end();
-    if (replica != from || !cfg_.is_replica(from)) return;
-    Writer body(32);
-    body.str("pbft-checkpoint");
-    body.u64(seq);
-    if (!crypto_->verify(from, body.bytes(), sig)) return;
-    checkpoint_votes_[seq].insert(from);
-    on_checkpoint_quorum(seq);
+void PbftReplica::on_checkpoint(NodeId from, const Checkpoint& m) {
+    if (m.replica != from || !cfg_.is_replica(from)) return;
+    if (!crypto_->verify(from, m.signed_body(), m.signature)) return;
+    checkpoint_votes_[m.seq].insert(from);
+    on_checkpoint_quorum(m.seq);
 }
 
 void PbftReplica::on_checkpoint_quorum(std::uint64_t seq) {

@@ -10,6 +10,61 @@
 
 namespace neo::baselines {
 
+/// The primary's ordering of a batch; the signature covers (view, seq,
+/// digest), the batch travels unsigned and must hash to `digest`.
+struct PrePrepare : wire::Message<PrePrepare> {
+    static constexpr Kind kKind = Kind::kPrePrepare;
+    static constexpr std::string_view kTag = "pbft-preprepare";
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    Digest32 digest{};
+    std::vector<Request> batch;
+    Bytes signature;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.seq, m.digest);
+        if (io.on_wire()) io.framed(m.batch, kMaxBatch);
+        io.auth(m.signature, kMaxSignature);
+    }
+};
+
+/// A replica's signed PREPARE or COMMIT vote for (view, seq, digest).
+template <Kind K>
+struct PbftVote : wire::Message<PbftVote<K>> {
+    static constexpr Kind kKind = K;
+    static constexpr std::string_view kTag = K == Kind::kPrepare ? "pbft-prepare" : "pbft-commit";
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    Digest32 digest{};
+    NodeId replica = 0;
+    Bytes signature;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.seq, m.digest, m.replica);
+        io.auth(m.signature, kMaxSignature);
+    }
+};
+using Prepare = PbftVote<Kind::kPrepare>;
+using Commit = PbftVote<Kind::kCommit>;
+
+/// The signature covers the checkpoint's seq alone.
+struct Checkpoint : wire::Message<Checkpoint> {
+    static constexpr Kind kKind = Kind::kCheckpoint;
+    static constexpr std::string_view kTag = "pbft-checkpoint";
+    std::uint64_t seq = 0;
+    NodeId replica = 0;
+    Bytes signature;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.seq);
+        if (io.on_wire()) io(m.replica);
+        io.auth(m.signature, kMaxSignature);
+    }
+};
+
 class PbftReplica : public LeaderReplica {
   public:
     PbftReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
@@ -33,18 +88,18 @@ class PbftReplica : public LeaderReplica {
         bool executed = false;
     };
 
-    void on_preprepare(NodeId from, Reader& r);
-    void on_prepare(NodeId from, Reader& r);
-    void on_commit(NodeId from, Reader& r);
-    void on_checkpoint(NodeId from, Reader& r);
+    void on_preprepare(NodeId from, PrePrepare m);
+    /// A PREPARE or COMMIT vote.
+    template <class Vote>
+    void on_vote(NodeId from, const Vote& m);
+    void on_checkpoint(NodeId from, const Checkpoint& m);
     void on_checkpoint_quorum(std::uint64_t seq);
     void try_progress(std::uint64_t seq);
     void try_execute();
     void maybe_checkpoint();
-
-    Bytes preprepare_body(std::uint64_t seq, const Digest32& digest) const;
-    Bytes phase_body(std::string_view tag, std::uint64_t seq, const Digest32& digest,
-                     NodeId replica) const;
+    /// This replica's signed vote for `seq`.
+    template <class Vote>
+    Bytes vote(std::uint64_t seq, const Digest32& digest);
 
     std::map<std::uint64_t, Slot> slots_;
     std::map<std::uint64_t, std::set<NodeId>> checkpoint_votes_;

@@ -19,60 +19,35 @@ void ZyzzyvaReplica::handle(NodeId from, BytesView data) {
 
 void ZyzzyvaReplica::on_message(Kind kind, NodeId from, Reader& r) {
     switch (kind) {
-        case Kind::kOrderReq: on_order_req(from, r); break;
-        case Kind::kCommitCert: on_commit_cert(from, r); break;
+        case Kind::kOrderReq: on_order_req(from, OrderReq::parse(r)); break;
+        case Kind::kCommitCert: on_commit_cert(from, CommitCert::parse(r)); break;
         default: break;
     }
 }
 
-Bytes ZyzzyvaReplica::order_body(std::uint64_t seq, const Digest32& history,
-                                 const Digest32& digest) const {
-    Writer w(96);
-    w.str("zyzzyva-order");
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(history.data(), history.size()));
-    w.raw(BytesView(digest.data(), digest.size()));
-    return std::move(w).take();
-}
-
 void ZyzzyvaReplica::order_batch(std::vector<Request> batch) {
-    std::uint64_t seq = next_seq_++;
-    Digest32 digest = batch_digest(batch);
-    Digest32 new_history =
-        crypto::sha256_pair(BytesView(history_.data(), history_.size()),
-                            BytesView(digest.data(), digest.size()));
-
-    Writer w(256);
-    w.u8(static_cast<std::uint8_t>(Kind::kOrderReq));
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(new_history.data(), new_history.size()));
-    w.raw(BytesView(digest.data(), digest.size()));
-    put_batch(w, batch);
-    w.blob(crypto_->sign(order_body(seq, new_history, digest)));
-    broadcast(cfg_.others(id()), std::move(w).take());
+    OrderReq m;
+    m.view = view_;
+    m.seq = next_seq_++;
+    m.digest = batch_digest(batch);
+    m.history = crypto::sha256_pair(BytesView(history_.data(), history_.size()),
+                                    BytesView(m.digest.data(), m.digest.size()));
+    m.batch = std::move(batch);
+    m.signature = crypto_->sign(m.signed_body());
+    broadcast(cfg_.others(id()), m.serialize());
 
     ++batches_ordered_;
-    if (obs::TraceSink* tr = sim().trace()) tr->phase(sim().now(), id(), "order_batch", seq);
-    execute_ordered(seq, std::move(batch));
+    if (obs::TraceSink* tr = sim().trace()) tr->phase(sim().now(), id(), "order_batch", m.seq);
+    execute_ordered(m.seq, std::move(m.batch));
 }
 
-void ZyzzyvaReplica::on_order_req(NodeId from, Reader& r) {
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 history = r.digest32();
-    Digest32 digest = r.digest32();
-    std::vector<Request> batch = get_batch(r);
-    Bytes sig = r.blob(256);
-    r.expect_end();
+void ZyzzyvaReplica::on_order_req(NodeId from, OrderReq m) {
+    if (m.view != view_ || from != cfg_.primary(view_)) return;
+    if (m.seq <= last_executed_ || m.seq <= stable_checkpoint_) return;
+    if (batch_digest(m.batch) != m.digest) return;
+    if (!crypto_->verify(from, m.signed_body(), m.signature)) return;
 
-    if (view != view_ || from != cfg_.primary(view_)) return;
-    if (seq <= last_executed_ || seq <= stable_checkpoint_) return;
-    if (batch_digest(batch) != digest) return;
-    if (!crypto_->verify(from, order_body(seq, history, digest), sig)) return;
-
-    pending_[seq] = {digest, std::move(batch)};
+    pending_[m.seq] = {m.digest, std::move(m.batch)};
     // Execute contiguously in order (speculation requires gap-free history).
     while (true) {
         auto it = pending_.find(last_executed_ + 1);
@@ -80,7 +55,7 @@ void ZyzzyvaReplica::on_order_req(NodeId from, Reader& r) {
         // Verify the primary's history chain.
         Digest32 expect = crypto::sha256_pair(BytesView(history_.data(), history_.size()),
                                               BytesView(it->second.first.data(), 32));
-        if (last_executed_ + 1 == seq && expect != history) {
+        if (last_executed_ + 1 == m.seq && expect != m.history) {
             pending_.erase(it);
             return;  // primary equivocated on history; drop
         }
@@ -106,24 +81,15 @@ void ZyzzyvaReplica::execute_ordered(std::uint64_t seq, std::vector<Request> bat
 
 sim::Packet ZyzzyvaReplica::make_reply(const Request& req, Bytes result) {
     // execute_ordered sets last_executed_ to the batch's seq before it runs.
-    const std::uint64_t seq = last_executed_;
-    Writer w(160 + result.size());
-    w.u8(static_cast<std::uint8_t>(Kind::kSpecResponse));
-    w.u64(view_);
-    w.u64(seq);
-    w.raw(BytesView(history_.data(), history_.size()));
-    w.u32(id());
-    w.u64(req.request_id);
-    w.blob(result);
-    Writer body(96 + result.size());
-    body.str("zyzzyva-spec");
-    body.u64(view_);
-    body.u64(seq);
-    body.raw(BytesView(history_.data(), history_.size()));
-    body.u64(req.request_id);
-    body.blob(result);
-    w.blob(crypto_->mac_for(req.client, body.bytes()));
-    return sim::Packet(std::move(w).take());
+    SpecResponse m;
+    m.view = view_;
+    m.seq = last_executed_;
+    m.history = history_;
+    m.replica = id();
+    m.request_id = req.request_id;
+    m.result = std::move(result);
+    m.mac = crypto_->mac_for(req.client, m.signed_body());
+    return sim::Packet(m.serialize());
 }
 
 void ZyzzyvaReplica::maybe_checkpoint() {
@@ -139,33 +105,21 @@ void ZyzzyvaReplica::maybe_checkpoint() {
     pending_.erase(pending_.begin(), pending_.upper_bound(target));
 }
 
-void ZyzzyvaReplica::on_commit_cert(NodeId from, Reader& r) {
+void ZyzzyvaReplica::on_commit_cert(NodeId from, const CommitCert& m) {
     // ⟨commit, client, cert⟩: cert identifies (view, seq, history) with
     // 2f+1 matching speculative responses. Replicas that have executed up
     // to seq with that history acknowledge with local-commit.
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 history = r.digest32();
-    std::uint64_t request_id = r.u64();
-    r.expect_end();
+    if (m.view != view_) return;
+    auto it = history_at_.find(m.seq);
+    if (it == history_at_.end() || it->second != m.history) return;
 
-    if (view != view_) return;
-    auto it = history_at_.find(seq);
-    if (it == history_at_.end() || it->second != history) return;
-
-    Writer w(96);
-    w.u8(static_cast<std::uint8_t>(Kind::kLocalCommit));
-    w.u64(view_);
-    w.u64(seq);
-    w.u32(id());
-    w.u64(request_id);
-    Writer body(64);
-    body.str("zyzzyva-local-commit");
-    body.u64(view_);
-    body.u64(seq);
-    body.u64(request_id);
-    w.blob(crypto_->mac_for(from, body.bytes()));
-    send_to(from, std::move(w).take());
+    LocalCommit ack;
+    ack.view = view_;
+    ack.seq = m.seq;
+    ack.replica = id();
+    ack.request_id = m.request_id;
+    ack.mac = crypto_->mac_for(from, ack.signed_body());
+    send_to(from, ack.serialize());
     ++local_commits_;
 }
 
@@ -189,7 +143,7 @@ void ZyzzyvaClient::invoke(Bytes op, Callback cb) {
     req.client = id();
     req.request_id = next_request_id_++;
     req.op = std::move(op);
-    req.mac = crypto_->mac_for(cfg_.primary(0), req.mac_body());
+    req.mac = crypto_->mac_for(cfg_.primary(0), req.signed_body());
 
     Outstanding out;
     out.request_id = req.request_id;
@@ -216,8 +170,8 @@ void ZyzzyvaClient::handle(NodeId from, BytesView data) {
     try {
         Reader r(data.subspan(1));
         switch (static_cast<Kind>(data[0])) {
-            case Kind::kSpecResponse: on_spec_response(from, r); break;
-            case Kind::kLocalCommit: on_local_commit(from, r); break;
+            case Kind::kSpecResponse: on_spec_response(from, SpecResponse::parse(r)); break;
+            case Kind::kLocalCommit: on_local_commit(from, LocalCommit::parse(r)); break;
             case Kind::kReply: break;  // not used by zyzzyva
             default: break;
         }
@@ -225,37 +179,21 @@ void ZyzzyvaClient::handle(NodeId from, BytesView data) {
     }
 }
 
-void ZyzzyvaClient::on_spec_response(NodeId from, Reader& r) {
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    Digest32 history = r.digest32();
-    NodeId replica = r.u32();
-    std::uint64_t request_id = r.u64();
-    Bytes result = r.blob();
-    Bytes mac = r.blob(64);
-    r.expect_end();
-
-    if (!outstanding_.has_value() || request_id != outstanding_->request_id) return;
-    if (replica != from || !cfg_.is_replica(from)) return;
-    Writer body(96 + result.size());
-    body.str("zyzzyva-spec");
-    body.u64(view);
-    body.u64(seq);
-    body.raw(BytesView(history.data(), history.size()));
-    body.u64(request_id);
-    body.blob(result);
-    if (!crypto_->check_mac_from(from, body.bytes(), mac)) return;
+void ZyzzyvaClient::on_spec_response(NodeId from, SpecResponse m) {
+    if (!outstanding_.has_value() || m.request_id != outstanding_->request_id) return;
+    if (m.replica != from || !cfg_.is_replica(from)) return;
+    if (!crypto_->check_mac_from(from, m.signed_body(), m.mac)) return;
 
     Writer key(96);
-    key.u64(view);
-    key.u64(seq);
-    key.raw(BytesView(history.data(), history.size()));
-    Digest32 rd = crypto::sha256(result);
+    key.u64(m.view);
+    key.u64(m.seq);
+    key.raw(BytesView(m.history.data(), m.history.size()));
+    Digest32 rd = crypto::sha256(m.result);
     key.raw(BytesView(rd.data(), rd.size()));
 
     SpecVote& vote = outstanding_->votes[key.bytes()];
     vote.replicas.insert(from);
-    vote.result = std::move(result);
+    vote.result = std::move(m.result);
     if (obs::TraceSink* tr = sim().trace();
         tr != nullptr && !outstanding_->quorum_span_open) {
         outstanding_->quorum_span_open = true;
@@ -289,17 +227,12 @@ void ZyzzyvaClient::start_slow_path() {
             // Reconstruct (view, seq, history) from the key and broadcast a
             // commit certificate.
             Reader kr(key);
-            std::uint64_t view = kr.u64();
-            std::uint64_t seq = kr.u64();
-            Digest32 history = kr.digest32();
-
-            Writer w(96);
-            w.u8(static_cast<std::uint8_t>(Kind::kCommitCert));
-            w.u64(view);
-            w.u64(seq);
-            w.raw(BytesView(history.data(), history.size()));
-            w.u64(outstanding_->request_id);
-            sim::Packet wire(std::move(w).take());
+            CommitCert cert;
+            cert.view = kr.u64();
+            cert.seq = kr.u64();
+            cert.history = kr.digest32();
+            cert.request_id = outstanding_->request_id;
+            sim::Packet wire(cert.serialize());
             for (NodeId r : cfg_.replicas) send_to(r, wire);
             return;
         }
@@ -310,23 +243,11 @@ void ZyzzyvaClient::start_slow_path() {
     }, "fast_path");
 }
 
-void ZyzzyvaClient::on_local_commit(NodeId from, Reader& r) {
-    std::uint64_t view = r.u64();
-    std::uint64_t seq = r.u64();
-    NodeId replica = r.u32();
-    std::uint64_t request_id = r.u64();
-    Bytes mac = r.blob(64);
-    r.expect_end();
-
-    if (!outstanding_.has_value() || request_id != outstanding_->request_id) return;
-    if (replica != from || !cfg_.is_replica(from)) return;
+void ZyzzyvaClient::on_local_commit(NodeId from, const LocalCommit& m) {
+    if (!outstanding_.has_value() || m.request_id != outstanding_->request_id) return;
+    if (m.replica != from || !cfg_.is_replica(from)) return;
     if (outstanding_->slow_key.empty()) return;
-    Writer body(64);
-    body.str("zyzzyva-local-commit");
-    body.u64(view);
-    body.u64(seq);
-    body.u64(request_id);
-    if (!crypto_->check_mac_from(from, body.bytes(), mac)) return;
+    if (!crypto_->check_mac_from(from, m.signed_body(), m.mac)) return;
 
     outstanding_->local_commits.insert(from);
     if (outstanding_->local_commits.size() >= static_cast<std::size_t>(2 * cfg_.f + 1)) {

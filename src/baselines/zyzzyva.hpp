@@ -13,6 +13,81 @@
 
 namespace neo::baselines {
 
+/// The primary's ordering of a batch into its history chain; the signature
+/// covers (view, seq, history, digest), the batch travels unsigned.
+struct OrderReq : wire::Message<OrderReq> {
+    static constexpr Kind kKind = Kind::kOrderReq;
+    static constexpr std::string_view kTag = "zyzzyva-order";
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    Digest32 history{};
+    Digest32 digest{};
+    std::vector<Request> batch;
+    Bytes signature;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.seq, m.history, m.digest);
+        if (io.on_wire()) io.framed(m.batch, kMaxBatch);
+        io.auth(m.signature, kMaxSignature);
+    }
+};
+
+/// Replica -> client: the speculative result, MAC'd to the client.
+struct SpecResponse : wire::Message<SpecResponse> {
+    static constexpr Kind kKind = Kind::kSpecResponse;
+    static constexpr std::string_view kTag = "zyzzyva-spec";
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    Digest32 history{};
+    NodeId replica = 0;
+    std::uint64_t request_id = 0;
+    Bytes result;
+    Bytes mac;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.seq, m.history);
+        if (io.on_wire()) io(m.replica);
+        io(m.request_id);
+        io.blob(m.result, Reader::kDefaultMaxBlob);
+        io.auth(m.mac, kMaxMac);
+    }
+};
+
+/// Client -> replicas: (view, seq, history) has 2f+1 matching speculative
+/// responses; replicas that executed it acknowledge with LocalCommit.
+struct CommitCert : wire::Message<CommitCert> {
+    static constexpr Kind kKind = Kind::kCommitCert;
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    Digest32 history{};
+    std::uint64_t request_id = 0;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.seq, m.history, m.request_id);
+    }
+};
+
+struct LocalCommit : wire::Message<LocalCommit> {
+    static constexpr Kind kKind = Kind::kLocalCommit;
+    static constexpr std::string_view kTag = "zyzzyva-local-commit";
+    std::uint64_t view = 0;
+    std::uint64_t seq = 0;
+    NodeId replica = 0;
+    std::uint64_t request_id = 0;
+    Bytes mac;
+
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.view, m.seq);
+        if (io.on_wire()) io(m.replica);
+        io(m.request_id);
+        io.auth(m.mac, kMaxMac);
+    }
+};
+
 class ZyzzyvaReplica : public LeaderReplica {
   public:
     ZyzzyvaReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
@@ -34,12 +109,10 @@ class ZyzzyvaReplica : public LeaderReplica {
     void publish_metrics(obs::Registry& r, const std::string& prefix) const override;
 
   private:
-    void on_order_req(NodeId from, Reader& r);
+    void on_order_req(NodeId from, OrderReq m);
     void execute_ordered(std::uint64_t seq, std::vector<Request> batch);
-    void on_commit_cert(NodeId from, Reader& r);
+    void on_commit_cert(NodeId from, const CommitCert& m);
     void maybe_checkpoint();
-
-    Bytes order_body(std::uint64_t seq, const Digest32& history, const Digest32& digest) const;
 
     Digest32 history_{};  // hash chain over ordered batches
     bool silent_ = false;
@@ -94,8 +167,8 @@ class ZyzzyvaClient : public sim::ProcessingNode {
         TimerId retry_timer = 0;
     };
 
-    void on_spec_response(NodeId from, Reader& r);
-    void on_local_commit(NodeId from, Reader& r);
+    void on_spec_response(NodeId from, SpecResponse m);
+    void on_local_commit(NodeId from, const LocalCommit& m);
     void try_fast_commit(NodeId from);
     void start_slow_path();
     void complete(Bytes result, NodeId peer);

@@ -81,6 +81,15 @@ Bytes Reader::blob(std::size_t max) {
     return raw(n);
 }
 
+BytesView Reader::blob_view(std::size_t max) {
+    std::uint32_t n = u32();
+    if (n > max) throw CodecError("blob length exceeds cap");
+    need(n);
+    BytesView out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+}
+
 std::string Reader::str(std::size_t max) {
     Bytes b = blob(max);
     return std::string(b.begin(), b.end());

@@ -21,29 +21,6 @@ Bytes master_secret_from_seed(std::uint64_t seed) {
 
 }  // namespace
 
-void put_signer_sigs(Writer& w, const std::vector<SignerSig>& sigs) {
-    w.u32(static_cast<std::uint32_t>(sigs.size()));
-    for (const auto& s : sigs) {
-        w.u32(s.replica);
-        w.blob(s.signature);
-    }
-}
-
-std::vector<SignerSig> get_signer_sigs(Reader& r) {
-    constexpr std::uint32_t kMaxQuorum = 512;
-    std::uint32_t n = r.u32();
-    if (n > kMaxQuorum) throw CodecError("oversized quorum");
-    std::vector<SignerSig> sigs;
-    sigs.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        SignerSig s;
-        s.replica = r.u32();
-        s.signature = r.blob(256);
-        sigs.push_back(std::move(s));
-    }
-    return sigs;
-}
-
 TrustRoot::TrustRoot(CryptoMode mode, std::uint64_t seed, CryptoCosts costs)
     : mode_(mode),
       costs_(costs),

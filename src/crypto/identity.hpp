@@ -44,18 +44,23 @@ constexpr std::size_t kSignatureSize = 64;
 /// Byte size of a pairwise MAC tag.
 constexpr std::size_t kMacSize = 8;
 
-/// One replica's signature inside a quorum certificate.
+/// One replica's signature inside a quorum certificate. A quorum travels
+/// as `io.list(sigs, kMaxQuorum)`: a u32 count, then these pairs.
 struct SignerSig {
     NodeId replica = 0;
     Bytes signature;
 
+    template <class IO, class M>
+    static void fields(IO& io, M& m) {
+        io(m.replica);
+        io.blob(m.signature, 256);
+    }
+
     friend bool operator==(const SignerSig&, const SignerSig&) = default;
 };
 
-/// Wire form of a quorum: a u32 count, then (replica, signature blob)
-/// pairs. Decoding rejects more than 512 entries.
-void put_signer_sigs(Writer& w, const std::vector<SignerSig>& sigs);
-std::vector<SignerSig> get_signer_sigs(Reader& r);
+/// Decoding cap on the entries of a quorum certificate.
+constexpr std::size_t kMaxQuorum = 512;
 
 class NodeCrypto;
 

@@ -80,11 +80,12 @@ void Client::on_reply(NodeId from, Reader& r) {
     if (!outstanding_.has_value()) return;
     if (reply.request_id != outstanding_->request_id) return;
     if (reply.replica != from || !cfg_.is_replica(from)) return;
-    if (!crypto_->check_mac_from(from, reply.mac_body(), reply.mac)) return;
+    if (!crypto_->check_mac_from(from, reply.signed_body(), reply.mac)) return;
 
     // Group matching replies by (view, slot, log hash, result).
     Writer key(80 + reply.result.size());
-    put_view(key, reply.view);
+    key.u64(reply.view.epoch);
+    key.u64(reply.view.leader);
     key.u64(reply.slot);
     key.raw(BytesView(reply.log_hash.data(), reply.log_hash.size()));
     key.blob(reply.result);

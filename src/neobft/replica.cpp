@@ -241,7 +241,7 @@ void Replica::send_reply(std::uint64_t slot, Bytes result) {
     // honest ones (a poison byte, properly MAC'd). Clients still commit off
     // the honest 2f+1 matching replies.
     if (equivocate_) reply.result.push_back(0xEB);
-    reply.mac = crypto_->mac_for(entry.client, reply.mac_body());
+    reply.mac = crypto_->mac_for(entry.client, reply.signed_body());
     sim::Packet wire(reply.serialize());
 
     ClientRecord& rec = clients_[entry.client];

@@ -159,8 +159,9 @@ void ShardClient::finish(bool committed) {
     }
     Callback cb = std::move(pending_->cb);
     pending_.reset();
-    cb(app::KvResult{committed ? app::KvStatus::kOk : app::KvStatus::kTxnAborted, {}}
-           .serialize());
+    app::KvResult result;
+    result.status = committed ? app::KvStatus::kOk : app::KvStatus::kTxnAborted;
+    cb(result.serialize());
 }
 
 }  // namespace neo::neobft

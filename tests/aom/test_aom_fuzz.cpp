@@ -90,7 +90,7 @@ TEST_P(AomFuzz, MutatedCertificatesNeverVerify) {
         }
         if (mutant == wire) continue;
         try {
-            OrderingCert parsed = OrderingCert::parse_bytes(mutant);
+            OrderingCert parsed = wire::decode<OrderingCert>(mutant);
             if (verify_cert(parsed, d.hosts[1]->receiver().verify_context())) {
                 // Only acceptable if the mutation did not touch any
                 // authenticated field (e.g. flipped bits in ignored padding

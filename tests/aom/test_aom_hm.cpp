@@ -82,7 +82,7 @@ TEST(AomHm, CertificateIsTransferable) {
     d.sim.run();
     OrderingCert cert = d.hosts[0]->deliveries.at(0).cert;
     Bytes wire = cert.serialize();
-    OrderingCert reparsed = OrderingCert::parse_bytes(wire);
+    OrderingCert reparsed = wire::decode<OrderingCert>(wire);
     for (auto& host : d.hosts) {
         EXPECT_TRUE(verify_cert(reparsed, host->receiver().verify_context()));
     }

@@ -127,7 +127,7 @@ TEST(AomPk, UnsignedCertificatesCarryChainToSignature) {
             // Chain must start at the message's own seq and be consecutive.
             EXPECT_EQ(del.cert.chain.front().seq, del.seq);
             // And must still verify everywhere after reserialisation.
-            OrderingCert reparsed = OrderingCert::parse_bytes(del.cert.serialize());
+            OrderingCert reparsed = wire::decode<OrderingCert>(del.cert.serialize());
             EXPECT_TRUE(verify_cert(reparsed, d.hosts[3]->receiver().verify_context()));
         }
     }

@@ -217,7 +217,7 @@ TEST(AomCertWire, RoundTripHm) {
     c.payload = to_bytes("req");
     c.digest = crypto::sha256(c.payload);
     c.macs = {1, 2, 3, 4};
-    OrderingCert q = OrderingCert::parse_bytes(c.serialize());
+    OrderingCert q = wire::decode<OrderingCert>(c.serialize());
     EXPECT_EQ(q.variant, AuthVariant::kHmacVector);
     EXPECT_EQ(q.macs, c.macs);
     EXPECT_EQ(q.payload, c.payload);
@@ -237,7 +237,7 @@ TEST(AomCertWire, RoundTripPkWithConfirms) {
     c.signature = Bytes(64, 0x77);
     c.confirms.push_back({1, Bytes(64, 0x01)});
     c.confirms.push_back({2, Bytes(64, 0x02)});
-    OrderingCert q = OrderingCert::parse_bytes(c.serialize());
+    OrderingCert q = wire::decode<OrderingCert>(c.serialize());
     ASSERT_EQ(q.chain.size(), 2u);
     EXPECT_EQ(q.chain[1].seq, 6u);
     EXPECT_EQ(q.signature, c.signature);
@@ -249,14 +249,14 @@ TEST(AomCertWire, ParseRejectsBadVariant) {
     OrderingCert c;
     Bytes wire = c.serialize();
     wire[0] = 99;
-    EXPECT_THROW(OrderingCert::parse_bytes(wire), CodecError);
+    EXPECT_THROW(wire::decode<OrderingCert>(wire), CodecError);
 }
 
 TEST(AomCertWire, ParseRejectsTrailingGarbage) {
     OrderingCert c;
     Bytes wire = c.serialize();
     wire.push_back(0);
-    EXPECT_THROW(OrderingCert::parse_bytes(wire), CodecError);
+    EXPECT_THROW(wire::decode<OrderingCert>(wire), CodecError);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ KvOp del(const char* k) {
 KvResult exec(KvStateMachine& sm, const KvTxnOp& txn) {
     auto res = KvResult::parse(sm.execute(txn.serialize()));
     EXPECT_TRUE(res.has_value());
-    return res.value_or(KvResult{KvStatus::kBadRequest, {}});
+    return res.value_or(KvResult{{}, KvStatus::kBadRequest, {}});
 }
 
 KvTxnOp local(std::vector<KvOp> ops) {

@@ -1,4 +1,5 @@
 #include "baselines/common.hpp"
+#include "baselines/minbft.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,10 +46,11 @@ TEST(BaselineWire, BatchRoundTrip) {
         req.op = to_bytes("op" + std::to_string(i));
         batch.push_back(req);
     }
-    Writer w;
-    put_batch(w, batch);
-    Reader r(w.bytes());
-    std::vector<Request> back = get_batch(r);
+    MbPrepare m;
+    m.batch = batch;
+    Bytes wire = m.serialize();
+    Reader r(BytesView(wire).subspan(1));
+    std::vector<Request> back = MbPrepare::parse(r).batch;
     ASSERT_EQ(back.size(), 5u);
     EXPECT_EQ(back[3].client, 103u);
     EXPECT_EQ(batch_digest(batch), batch_digest(back));

@@ -42,7 +42,7 @@ TYPED_TEST(LeaderReplicaTest, DuplicateRequestAnsweredFromCache) {
     req.client = client.id();
     req.request_id = 1;
     req.op = to_bytes("op-0-0");
-    req.mac = client.node_crypto().mac_for(1, req.mac_body());
+    req.mac = client.node_crypto().mac_for(1, req.signed_body());
     d.net.send(client.id(), 1, req.serialize());
     d.sim.run_until(d.sim.now() + sim::kSecond);
 

@@ -100,14 +100,13 @@ TEST(Minbft, ForgedPrepareRejected) {
     pd.raw(BytesView(bd.data(), bd.size()));
     auto ui = rogue.create(crypto::sha256(pd.bytes()));
 
-    Writer w(256);
-    w.u8(static_cast<std::uint8_t>(Kind::kMbPrepare));
-    w.u64(0);
-    w.u64(1);
-    put_batch(w, batch);
-    ui.put(w);
+    MbPrepare m;
+    m.view = 0;
+    m.seq = 1;
+    m.batch = batch;
+    m.ui = ui;
     // Spoof: sent from node 2 but prepares must come from the primary (1).
-    d.net.send(2, 3, std::move(w).take());
+    d.net.send(2, 3, m.serialize());
     d.sim.run_until(sim::kSecond);
     EXPECT_EQ(d.replicas[2]->requests_executed(), 0u);
 }

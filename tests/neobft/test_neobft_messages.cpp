@@ -97,7 +97,7 @@ TEST(NeoMessages, ReplyRoundTrip) {
 }
 
 TEST(NeoMessages, GapMessagesRoundTrip) {
-    Query query{{1, 0}, 7};
+    Query query{{}, {1, 0}, 7};
     Query q2 = reparse(query);
     EXPECT_EQ(q2.slot, 7u);
 
@@ -261,7 +261,7 @@ TEST(NeoMessages, ViewStartRoundTrip) {
 }
 
 TEST(NeoMessages, StateTransferRoundTrip) {
-    StateReq req{5, 10};
+    StateReq req{{}, 5, 10};
     StateReq req2 = reparse(req);
     EXPECT_EQ(req2.from_slot, 5u);
     EXPECT_EQ(req2.to_slot, 10u);
@@ -292,9 +292,12 @@ TEST(NeoMessages, TruncationRejected) {
 
 TEST(NeoMessages, OversizedQuorumRejected) {
     Writer w;
+    w.u64(1);  // view
+    w.u64(0);
+    w.u64(5);  // slot
+    w.boolean(true);
     w.u32(100'000);  // absurd quorum count
-    Reader r(w.bytes());
-    EXPECT_THROW(get_signer_sigs(r), CodecError);
+    EXPECT_THROW(wire::decode<GapCertificate>(w.bytes()), CodecError);
 }
 
 }  // namespace
