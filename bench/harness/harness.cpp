@@ -668,11 +668,11 @@ class BaselineDeployment : public ReplicatedDeployment<ReplicaT, ClientT> {
   public:
     using ReplicatedDeployment<ReplicaT, ClientT>::replicas_;
 
-    /// `make_replica` / `make_client` build one node from its provisioned
-    /// crypto; every replica runs `p.app_factory` (echo when unset).
-    template <typename MakeReplica, typename MakeClient>
+    /// `make_replica` builds one replica from its provisioned crypto; every
+    /// replica runs `p.app_factory` (echo when unset).
+    template <typename MakeReplica>
     BaselineDeployment(const CommonParams& p, const baselines::BaseConfig& cfg,
-                       const MakeReplica& make_replica, const MakeClient& make_client)
+                       const MakeReplica& make_replica)
         : ReplicatedDeployment<ReplicaT, ClientT>(p) {
         for (NodeId rid : cfg.replicas) {
             std::unique_ptr<ReplicaT> rep = make_replica(this->root_.provision(rid));
@@ -684,19 +684,11 @@ class BaselineDeployment : public ReplicatedDeployment<ReplicaT, ClientT> {
         const NodeId client_base = kClientBase + infra_shift(cfg.n());
         for (int i = 0; i < p.n_clients; ++i) {
             NodeId cid = client_base + static_cast<NodeId>(i);
-            this->clients_.push_back(make_client(this->root_.provision(cid)));
+            this->clients_.push_back(std::make_unique<ClientT>(cfg, this->root_.provision(cid)));
             this->net_.add_node(*this->clients_.back(), cid);
         }
     }
 };
-
-/// Clients that accept a result on f+1 matching replies.
-auto quorum_clients(const baselines::BaseConfig& cfg) {
-    return [&cfg](std::unique_ptr<crypto::NodeCrypto> c) {
-        return std::make_unique<baselines::QuorumClient>(cfg, std::move(c),
-                                                         static_cast<std::size_t>(cfg.f + 1));
-    };
-}
 
 }  // namespace
 
@@ -716,16 +708,14 @@ std::unique_ptr<Deployment> make_pbft(const CommonParams& p) {
     using namespace baselines;
     const auto cfg = baseline_config(p, p.n_replicas);
     return std::make_unique<BaselineDeployment<PbftReplica>>(
-        p, cfg, [&](auto c) { return std::make_unique<PbftReplica>(cfg, std::move(c)); },
-        quorum_clients(cfg));
+        p, cfg, [&](auto c) { return std::make_unique<PbftReplica>(cfg, std::move(c)); });
 }
 
 std::unique_ptr<Deployment> make_zyzzyva(const ZyzzyvaParams& p) {
     using namespace baselines;
     const auto cfg = baseline_config(p, p.n_replicas);
     auto d = std::make_unique<BaselineDeployment<ZyzzyvaReplica, ZyzzyvaClient>>(
-        p, cfg, [&](auto c) { return std::make_unique<ZyzzyvaReplica>(cfg, std::move(c)); },
-        [&](auto c) { return std::make_unique<ZyzzyvaClient>(cfg, std::move(c)); });
+        p, cfg, [&](auto c) { return std::make_unique<ZyzzyvaReplica>(cfg, std::move(c)); });
     if (p.faulty_replica) d->replicas_.back()->set_silent(true);
     return d;
 }
@@ -734,8 +724,7 @@ std::unique_ptr<Deployment> make_hotstuff(const CommonParams& p) {
     using namespace baselines;
     const auto cfg = baseline_config(p, p.n_replicas);
     return std::make_unique<BaselineDeployment<HotStuffReplica>>(
-        p, cfg, [&](auto c) { return std::make_unique<HotStuffReplica>(cfg, std::move(c)); },
-        quorum_clients(cfg));
+        p, cfg, [&](auto c) { return std::make_unique<HotStuffReplica>(cfg, std::move(c)); });
 }
 
 std::unique_ptr<Deployment> make_minbft(const CommonParams& p) {
@@ -744,8 +733,7 @@ std::unique_ptr<Deployment> make_minbft(const CommonParams& p) {
     const std::uint64_t usig_seed = p.seed + 7;
     return std::make_unique<BaselineDeployment<MinbftReplica>>(
         p, cfg,
-        [&](auto c) { return std::make_unique<MinbftReplica>(cfg, std::move(c), usig_seed); },
-        quorum_clients(cfg));
+        [&](auto c) { return std::make_unique<MinbftReplica>(cfg, std::move(c), usig_seed); });
 }
 
 OpGen sharded_txn_ops(const ShardTxnWorkload& w, int n_clients) {

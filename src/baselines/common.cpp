@@ -1,6 +1,5 @@
 #include "baselines/common.hpp"
 
-#include "common/assert.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/auditor.hpp"
 #include "obs/metrics.hpp"
@@ -181,45 +180,23 @@ void LeaderReplica::register_metrics(obs::Registry& reg, const std::string& pref
     register_rx_metrics(reg, prefix, &kind_name);
 }
 
-// ---------------- QuorumClient ----------------
+// ---------------- Clients ----------------
 
-QuorumClient::QuorumClient(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
-                           std::size_t required_matches, sim::Time retry_timeout)
-    : cfg_(std::move(cfg)), crypto_(std::move(crypto)), required_(required_matches),
-      retry_timeout_(retry_timeout) {
-    set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
-}
-
-void QuorumClient::invoke(Bytes op, Callback cb) {
-    NEO_ASSERT_MSG(!outstanding_.has_value(), "one outstanding request per client");
+sim::Packet mac_request(crypto::NodeCrypto& crypto, NodeId client, NodeId primary,
+                        std::uint64_t request_id, Bytes op) {
     Request req;
-    req.client = id();
-    req.request_id = next_request_id_++;
+    req.client = client;
+    req.request_id = request_id;
     req.op = std::move(op);
-    req.mac = crypto_->mac_for(cfg_.primary(0), req.signed_body());
-
-    Outstanding out;
-    out.request_id = req.request_id;
-    out.wire = sim::Packet(req.serialize());
-    out.cb = std::move(cb);
-    outstanding_ = std::move(out);
-    if (obs::TraceSink* tr = sim().trace()) {
-        outstanding_->trace_id = obs::trace_id(outstanding_->wire.view());
-        tr->span_begin(sim().now(), id(), "request", outstanding_->trace_id);
-    }
-    send_request(/*broadcast=*/false);
+    req.mac = crypto.mac_for(primary, req.signed_body());
+    return req.serialize();
 }
 
-void QuorumClient::send_request(bool broadcast) {
-    if (!outstanding_.has_value()) return;
-    if (broadcast) {
-        for (NodeId r : cfg_.replicas) send_to(r, outstanding_->wire);
-    } else {
-        send_to(cfg_.primary(0), outstanding_->wire);
-    }
-    outstanding_->retry_timer =
-        set_timer(retry_timeout_, [this] { send_request(true); }, "request_retry");
+QuorumClient::QuorumClient(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
+    : ClientCore(std::move(crypto), kClientRetryTimeout), cfg_(std::move(cfg)) {}
+
+sim::Packet QuorumClient::make_request(std::uint64_t request_id, Bytes op) {
+    return mac_request(*crypto_, id(), cfg_.primary(0), request_id, std::move(op));
 }
 
 void QuorumClient::handle(NodeId from, BytesView data) {
@@ -227,28 +204,13 @@ void QuorumClient::handle(NodeId from, BytesView data) {
     try {
         Reader r(data.subspan(1));
         Reply reply = Reply::parse(r);
-        if (!outstanding_.has_value() || reply.request_id != outstanding_->request_id) return;
+        if (!awaiting(reply.request_id)) return;
         if (reply.replica != from || !cfg_.is_replica(from)) return;
         if (!crypto_->check_mac_from(from, reply.signed_body(), reply.mac)) return;
 
-        auto& votes = outstanding_->votes[reply.result];
-        votes.insert(from);
-        if (obs::TraceSink* tr = sim().trace();
-            tr != nullptr && !outstanding_->quorum_span_open) {
-            outstanding_->quorum_span_open = true;
-            tr->span_begin(sim().now(), id(), "quorum", outstanding_->trace_id, from);
-        }
-        if (votes.size() >= required_) {
-            Bytes result = reply.result;
-            Callback cb = std::move(outstanding_->cb);
-            if (obs::TraceSink* tr = sim().trace()) {
-                // peer = the replica whose reply completed the quorum.
-                tr->span_end(sim().now(), id(), "quorum", outstanding_->trace_id, from);
-                tr->span_end(sim().now(), id(), "request", outstanding_->trace_id, from);
-            }
-            cancel_timer(outstanding_->retry_timer);
-            outstanding_.reset();
-            cb(std::move(result));
+        const Vote& vote = tally(from, reply.result, reply.result);
+        if (vote.senders.size() >= static_cast<std::size_t>(cfg_.f + 1)) {
+            complete(vote.result, from);
         }
     } catch (const CodecError&) {
     }
@@ -281,24 +243,14 @@ void UnreplicatedServer::handle(NodeId from, BytesView data) {
 }
 
 UnreplicatedClient::UnreplicatedClient(NodeId server, std::unique_ptr<crypto::NodeCrypto> crypto)
-    : server_(server), crypto_(std::move(crypto)) {
-    set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
-}
+    : ClientCore(std::move(crypto), kClientRetryTimeout), server_(server) {}
 
-void UnreplicatedClient::invoke(Bytes op, Callback cb) {
-    NEO_ASSERT(!outstanding_.has_value());
+sim::Packet UnreplicatedClient::make_request(std::uint64_t request_id, Bytes op) {
     UnrepRequest req;
-    req.request_id = next_request_id_++;
+    req.request_id = request_id;
     req.mac = crypto_->mac_for(server_, op);
     req.op = std::move(op);
-    outstanding_ = {req.request_id, std::move(cb)};
-    Bytes wire = req.serialize();
-    if (obs::TraceSink* tr = sim().trace()) {
-        trace_id_ = obs::trace_id(wire);
-        tr->span_begin(sim().now(), id(), "request", trace_id_);
-    }
-    send_to(server_, std::move(wire));
+    return req.serialize();
 }
 
 void UnreplicatedClient::handle(NodeId from, BytesView data) {
@@ -309,14 +261,9 @@ void UnreplicatedClient::handle(NodeId from, BytesView data) {
     try {
         Reader r(data.subspan(1));
         UnrepReply reply = UnrepReply::parse(r);
-        if (!outstanding_.has_value() || outstanding_->first != reply.request_id) return;
+        if (!awaiting(reply.request_id)) return;
         if (!crypto_->check_mac_from(from, reply.result, reply.mac)) return;
-        Callback cb = std::move(outstanding_->second);
-        if (obs::TraceSink* tr = sim().trace()) {
-            tr->span_end(sim().now(), id(), "request", trace_id_, from);
-        }
-        outstanding_.reset();
-        cb(std::move(reply.result));
+        complete(std::move(reply.result), from);
     } catch (const CodecError&) {
     }
 }

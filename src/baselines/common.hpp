@@ -19,7 +19,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <string_view>
 #include <vector>
@@ -29,8 +28,8 @@
 #include "common/types.hpp"
 #include "crypto/identity.hpp"
 #include "sim/adaptive_batch.hpp"
+#include "sim/client_core.hpp"
 #include "sim/costs.hpp"
-#include "sim/processing_node.hpp"
 
 namespace neo::obs {
 class Auditor;
@@ -299,45 +298,31 @@ class LeaderReplica : public sim::ProcessingNode {
     std::uint64_t requests_executed_ = 0;
 };
 
-// ---------------- Generic client ----------------
+// ---------------- Clients ----------------
 
-/// Closed-loop client for leader-directed protocols: sends the request to
-/// the primary and accepts the result after `required_matches` distinct
-/// replicas return matching MAC-authenticated replies.
-class QuorumClient : public sim::ProcessingNode {
+/// How long a baseline client waits before re-sending its request to every
+/// replica.
+constexpr sim::Time kClientRetryTimeout = 20 * sim::kMillisecond;
+
+/// The wire image of `client`'s request `request_id`, MAC'd to `primary`.
+sim::Packet mac_request(crypto::NodeCrypto& crypto, NodeId client, NodeId primary,
+                        std::uint64_t request_id, Bytes op);
+
+/// Closed-loop client for the leader-directed protocols (PBFT, HotStuff,
+/// MinBFT): sends the MAC'd request to the primary, broadcasts it on every
+/// retry, and accepts the result once f+1 distinct replicas return it.
+class QuorumClient : public sim::ClientCore {
   public:
-    using Callback = std::function<void(Bytes result)>;
-
-    QuorumClient(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
-                 std::size_t required_matches,
-                 sim::Time retry_timeout = 20 * sim::kMillisecond);
-
-    void invoke(Bytes op, Callback cb);
-    bool busy() const { return outstanding_.has_value(); }
-    crypto::NodeCrypto& node_crypto() { return *crypto_; }
+    QuorumClient(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
 
   protected:
+    sim::Packet make_request(std::uint64_t request_id, Bytes op) override;
+    void send_request(const sim::Packet& wire) override { send_to(cfg_.primary(0), wire); }
+    void resend(const sim::Packet& wire) override { broadcast(cfg_.replicas, wire); }
     void handle(NodeId from, BytesView data) override;
 
   private:
-    struct Outstanding {
-        std::uint64_t request_id;
-        sim::Packet wire;  // serialized signed Request (shared on broadcast retry)
-        std::uint64_t trace_id = 0;      // obs::trace_id(wire); 0 = untraced
-        bool quorum_span_open = false;   // first matching reply seen
-        Callback cb;
-        std::map<Bytes, std::set<NodeId>> votes;  // result -> replicas
-        TimerId retry_timer = 0;
-    };
-
-    void send_request(bool broadcast);
-
     BaseConfig cfg_;
-    std::unique_ptr<crypto::NodeCrypto> crypto_;
-    std::size_t required_;
-    sim::Time retry_timeout_;
-    std::uint64_t next_request_id_ = 1;
-    std::optional<Outstanding> outstanding_;
 };
 
 // ---------------- Unreplicated baseline ----------------
@@ -389,22 +374,19 @@ class UnreplicatedServer : public sim::ProcessingNode {
     ExecProbe probe_;
 };
 
-class UnreplicatedClient : public sim::ProcessingNode {
+/// Accepts the server's one MAC'd reply; re-sends to the server on retry.
+class UnreplicatedClient : public sim::ClientCore {
   public:
-    using Callback = std::function<void(Bytes result)>;
-
     UnreplicatedClient(NodeId server, std::unique_ptr<crypto::NodeCrypto> crypto);
-    void invoke(Bytes op, Callback cb);
 
   protected:
+    sim::Packet make_request(std::uint64_t request_id, Bytes op) override;
+    void send_request(const sim::Packet& wire) override { send_to(server_, wire); }
+    void resend(const sim::Packet& wire) override { send_to(server_, wire); }
     void handle(NodeId from, BytesView data) override;
 
   private:
     NodeId server_;
-    std::unique_ptr<crypto::NodeCrypto> crypto_;
-    std::uint64_t next_request_id_ = 1;
-    std::optional<std::pair<std::uint64_t, Callback>> outstanding_;
-    std::uint64_t trace_id_ = 0;  // current request's span id (0 = untraced)
 };
 
 }  // namespace neo::baselines

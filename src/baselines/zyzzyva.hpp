@@ -123,61 +123,44 @@ class ZyzzyvaReplica : public LeaderReplica {
     std::uint64_t local_commits_ = 0;
 };
 
-struct ZyzzyvaClientOptions {
+/// Zyzzyva's client: commits on 3f+1 matching speculative responses. Once
+/// the fast-path timeout has passed, the first 2f+1 matching ones get a
+/// commit certificate, and 2f+1 local commits commit the request.
+class ZyzzyvaClient : public sim::ClientCore {
+  public:
     /// How long to wait for 3f+1 matching speculative responses before
     /// falling back to the commit-certificate slow path.
-    sim::Time fast_path_timeout = 400 * sim::kMicrosecond;
-    sim::Time retry_timeout = 20 * sim::kMillisecond;
-};
+    static constexpr sim::Time kFastPathTimeout = 400 * sim::kMicrosecond;
 
-/// Zyzzyva's client: drives the fast/slow path decision.
-class ZyzzyvaClient : public sim::ProcessingNode {
-  public:
-    using Callback = std::function<void(Bytes result)>;
-    using Options = ZyzzyvaClientOptions;
+    ZyzzyvaClient(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto);
 
-    ZyzzyvaClient(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
-                  Options opts = {});
-
-    void invoke(Bytes op, Callback cb);
     std::uint64_t fast_commits() const { return fast_commits_; }
     std::uint64_t slow_commits() const { return slow_commits_; }
-    crypto::NodeCrypto& node_crypto() { return *crypto_; }
 
   protected:
+    sim::Packet make_request(std::uint64_t request_id, Bytes op) override;
+    /// To the primary, and arms the fast-path timer.
+    void send_request(const sim::Packet& wire) override;
+    void resend(const sim::Packet& wire) override { broadcast(cfg_.replicas, wire); }
     void handle(NodeId from, BytesView data) override;
 
   private:
-    struct SpecVote {
-        std::set<NodeId> replicas;
-        Bytes result;
-    };
-    struct Outstanding {
-        std::uint64_t request_id;
-        sim::Packet wire;  // serialized signed Request (shared on broadcast retry)
-        std::uint64_t trace_id = 0;     // obs::trace_id(wire); 0 = untraced
-        bool quorum_span_open = false;  // first spec response seen
-        Callback cb;
-        // (seq, history, result digest) -> votes
-        std::map<Bytes, SpecVote> votes;
+    /// The outstanding request's slow path; reset when a request starts.
+    struct SlowPath {
+        std::uint64_t request_id = 0;
+        bool timed_out = false;          // the fast-path timer fired
+        std::optional<Bytes> result;     // set once the certificate is sent
         std::set<NodeId> local_commits;
-        bool slow_path = false;
-        Bytes slow_key;
-        TimerId fast_timer = 0;
-        TimerId retry_timer = 0;
     };
 
     void on_spec_response(NodeId from, SpecResponse m);
     void on_local_commit(NodeId from, const LocalCommit& m);
-    void try_fast_commit(NodeId from);
-    void start_slow_path();
-    void complete(Bytes result, NodeId peer);
+    /// Sends the commit certificate for `vote` if it has 2f+1 senders and
+    /// none was sent yet.
+    void maybe_certify(const Vote& vote);
 
     BaseConfig cfg_;
-    std::unique_ptr<crypto::NodeCrypto> crypto_;
-    Options opts_;
-    std::uint64_t next_request_id_ = 1;
-    std::optional<Outstanding> outstanding_;
+    SlowPath slow_;
     std::uint64_t fast_commits_ = 0;
     std::uint64_t slow_commits_ = 0;
 };

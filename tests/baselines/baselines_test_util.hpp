@@ -50,13 +50,7 @@ struct Deployment {
 
     Client& add_client() {
         NodeId cid = kClientBase + static_cast<NodeId>(clients.size());
-        std::unique_ptr<Client> c;
-        if constexpr (std::is_same_v<Client, ZyzzyvaClient>) {
-            c = std::make_unique<Client>(cfg, root.provision(cid));
-        } else {
-            c = std::make_unique<Client>(cfg, root.provision(cid),
-                                         static_cast<std::size_t>(cfg.f + 1));
-        }
+        auto c = std::make_unique<Client>(cfg, root.provision(cid));
         net.add_node(*c, cid);
         clients.push_back(std::move(c));
         return *clients.back();
