@@ -58,7 +58,9 @@ TEST(BTree, ForEachInSortedOrder) {
     Bytes prev;
     std::size_t count = 0;
     t.for_each([&](const Bytes& key, const Bytes&) {
-        if (count > 0) EXPECT_LT(prev, key);
+        if (count > 0) {
+            EXPECT_LT(prev, key);
+        }
         prev = key;
         ++count;
     });
@@ -125,7 +127,9 @@ TEST_P(BTreeRandomSweep, MatchesStdMapUnderRandomOps) {
         } else {
             EXPECT_EQ(t.erase(key), ref.erase(key) > 0);
         }
-        if (i % 256 == 0) EXPECT_TRUE(t.check_invariants()) << "op " << i;
+        if (i % 256 == 0) {
+            EXPECT_TRUE(t.check_invariants()) << "op " << i;
+        }
     }
     EXPECT_EQ(t.size(), ref.size());
     EXPECT_TRUE(t.check_invariants());

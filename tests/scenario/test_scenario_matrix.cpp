@@ -73,8 +73,8 @@ TEST(ScenarioDeterminism, OutcomeByteIdenticalAcrossThreadCounts) {
     // The engine schedules every fault as a global event, so a scenario
     // run — faults, recovery, auditor stream and all — must be a pure
     // function of (seed, scenario), independent of worker threads.
-    for (const std::string& proto : {"neo_hm", "neo_pk", "neo_hm_2shard", "neo_pk_2shard"}) {
-        for (const std::string& name : {"crash_recover", "seq_equivocate"}) {
+    for (const char* proto : {"neo_hm", "neo_pk", "neo_hm_2shard", "neo_pk_2shard"}) {
+        for (const char* name : {"crash_recover", "seq_equivocate"}) {
             std::string ref;
             std::size_t ref_records = 0;
             for (unsigned threads : {1u, 8u}) {
