@@ -36,10 +36,6 @@ class CountingSink : public Node {
 
 /// ProcessingNode that does nothing per message (isolates queue/drain cost).
 class NullHandler : public ProcessingNode {
-  public:
-    using ProcessingNode::cancel_timer;
-    using ProcessingNode::set_timer;
-
   protected:
     void handle(NodeId, BytesView) override {}
 };

@@ -6,11 +6,12 @@
 
 namespace neo::aom {
 
-AomReceiver::AomReceiver(GroupConfig group, NodeId self, crypto::NodeCrypto* crypto,
-                         const AomKeyService* keys, ReceiverHost* host, ReceiverOptions opts)
-    : group_(std::move(group)), self_(self), crypto_(crypto), keys_(keys), host_(host),
-      opts_(opts), confirm_ctrl_(opts.confirm_policy()) {
-    NEO_ASSERT_MSG(group_.receiver_index(self_) >= 0, "receiver must be a group member");
+AomReceiver::AomReceiver(GroupConfig group, sim::ProcessingNode& node,
+                         crypto::NodeCrypto* crypto, const AomKeyService* keys,
+                         ReceiverOptions opts)
+    : group_(std::move(group)), node_(node), crypto_(crypto), keys_(keys), opts_(opts),
+      confirm_ctrl_(opts.confirm_policy()) {
+    NEO_ASSERT_MSG(group_.receiver_index(node_.id()) >= 0, "receiver must be a group member");
 }
 
 NodeId AomReceiver::sequencer_for_epoch(EpochNum e) const {
@@ -33,10 +34,7 @@ void AomReceiver::start_epoch(EpochNum epoch, NodeId sequencer) {
     auth_chain_.clear();
     auth_chain_sigs_.clear();
     confirm_outbox_.clear();
-    if (gap_timer_armed_) {
-        host_->aom_cancel_timer(gap_timer_id_);
-        gap_timer_armed_ = false;
-    }
+    if (node_.timer_armed(gap_timer_)) node_.cancel_timer(gap_timer_);
 }
 
 void AomReceiver::resume_mid_epoch(EpochNum epoch, NodeId sequencer) {
@@ -48,15 +46,12 @@ void AomReceiver::resume_mid_epoch(EpochNum epoch, NodeId sequencer) {
     auth_chain_.clear();
     auth_chain_sigs_.clear();
     confirm_outbox_.clear();
-    // The host invalidated every timer at crash time; just drop the flags.
-    confirm_timer_armed_ = false;
-    gap_timer_armed_ = false;
 }
 
 VerifyContext AomReceiver::verify_context() const {
     VerifyContext ctx;
     ctx.cfg = &group_;
-    ctx.self = self_;
+    ctx.self = node_.id();
     ctx.crypto = crypto_;
     ctx.keys = keys_;
     ctx.sequencer_for_epoch = [this](EpochNum e) {
@@ -103,7 +98,7 @@ void AomReceiver::on_packet(NodeId from, BytesView data) {
 
 const crypto::HalfSipKey& AomReceiver::hm_key(NodeId sequencer) {
     if (hm_key_switch_ != sequencer) {
-        hm_key_ = keys_->hm_key(sequencer, self_);
+        hm_key_ = keys_->hm_key(sequencer, node_.id());
         hm_key_switch_ = sequencer;
     }
     return hm_key_;
@@ -133,7 +128,7 @@ void AomReceiver::handle_hm(const HmPacket& pkt) {
         return;
     }
 
-    int my_slot = group_.receiver_index(self_);
+    int my_slot = group_.receiver_index(node_.id());
 
     // If this subgroup packet covers our slot, verify our MAC entry before
     // trusting anything in it.
@@ -162,7 +157,7 @@ void AomReceiver::handle_hm(const HmPacket& pkt) {
         p.macs.assign(group_.receivers.size(), 0);
         p.n_subgroups = pkt.n_subgroups;
         p.have_packet = true;
-        p.first_seen = host_->aom_now();
+        p.first_seen = node_.sim().now();
     }
     for (std::size_t i = 0; i < pkt.macs.size(); ++i) {
         p.macs[static_cast<std::size_t>(base_slot) + i] = pkt.macs[i];
@@ -230,7 +225,7 @@ void AomReceiver::handle_pk(const PkPacket& pkt) {
             p.prev_chain = pkt.prev_chain;
             p.signature = pkt.signature;
             p.have_packet = true;
-            p.first_seen = host_->aom_now();
+            p.first_seen = node_.sim().now();
         } else if (p.signature.empty() && !pkt.signature.empty()) {
             p.signature = pkt.signature;
         }
@@ -310,8 +305,8 @@ void AomReceiver::queue_own_confirm(SeqNum seq, const Digest32& digest) {
 
     // Record our own confirm locally (we count toward the quorum).
     Pending& p = pending_[seq];
-    p.confirms[digest].insert(self_);
-    p.confirm_sigs[self_] = sig;
+    p.confirms[digest].insert(node_.id());
+    p.confirm_sigs[node_.id()] = sig;
 
     ConfirmPacket::Entry e;
     e.seq = seq;
@@ -321,12 +316,9 @@ void AomReceiver::queue_own_confirm(SeqNum seq, const Digest32& digest) {
 
     if (confirm_outbox_.size() >= confirm_ctrl_.target()) {
         flush_confirms();
-    } else if (!confirm_timer_armed_) {
-        confirm_timer_armed_ = true;
-        host_->aom_set_timer(confirm_ctrl_.flush_delay(), [this] {
-            confirm_timer_armed_ = false;
-            flush_confirms();
-        }, "confirm_flush");
+    } else if (!node_.timer_armed(confirm_timer_)) {
+        confirm_timer_ = node_.set_timer(confirm_ctrl_.flush_delay(), [this] { flush_confirms(); },
+                                         "confirm_flush");
     }
 }
 
@@ -335,18 +327,18 @@ void AomReceiver::flush_confirms() {
     confirm_ctrl_.on_seal(confirm_outbox_.size(),
                           confirm_outbox_.size() >= confirm_ctrl_.target());
     crypto_->meter().charge(crypto_->root().costs().batch_seal_ns);
-    if (obs::TraceSink* tr = host_->aom_trace()) {
-        tr->batch(host_->aom_now(), self_, "confirm_batch", confirm_outbox_.size());
+    if (obs::TraceSink* tr = node_.sim().trace()) {
+        tr->batch(node_.sim().now(), node_.id(), "confirm_batch", confirm_outbox_.size());
     }
     ConfirmPacket pkt;
-    pkt.sender = self_;
+    pkt.sender = node_.id();
     pkt.group = group_.group;
     pkt.epoch = epoch_;
     pkt.entries = std::move(confirm_outbox_);
     confirm_outbox_.clear();
-    Bytes wire = pkt.serialize();
+    sim::Packet wire = pkt.serialize();
     for (NodeId r : group_.receivers) {
-        if (r != self_) host_->aom_send(r, wire);
+        if (r != node_.id()) node_.send_to(r, wire);
     }
 }
 
@@ -444,16 +436,16 @@ void AomReceiver::try_deliver() {
         d.seq = next_seq_;
         d.payload = it->second.payload;
         d.cert = build_cert(next_seq_, it->second);
-        if (obs::TraceSink* tr = host_->aom_trace()) {
+        if (obs::TraceSink* tr = node_.sim().trace()) {
             // "deliver" span: first packet for this seq -> in-order delivery
             // to the application. Both events are recorded here (delivery
             // time) on this node, keeping begin/end balanced and partition-
             // local; the begin's t is the buffered first-arrival time.
             std::uint64_t tid = obs::trace_id(d.payload);
             sim::Time begin =
-                it->second.first_seen >= 0 ? it->second.first_seen : host_->aom_now();
-            tr->span_begin(begin, self_, "deliver", tid, next_seq_);
-            tr->span_end(host_->aom_now(), self_, "deliver", tid, next_seq_);
+                it->second.first_seen >= 0 ? it->second.first_seen : node_.sim().now();
+            tr->span_begin(begin, node_.id(), "deliver", tid, next_seq_);
+            tr->span_end(node_.sim().now(), node_.id(), "deliver", tid, next_seq_);
         }
         pending_.erase(it);
         ++next_seq_;
@@ -466,17 +458,14 @@ void AomReceiver::try_deliver() {
         while (!auth_chain_sigs_.empty() && auth_chain_sigs_.begin()->first + 1 < next_seq_) {
             auth_chain_sigs_.erase(auth_chain_sigs_.begin());
         }
-        if (gap_timer_armed_) {
-            host_->aom_cancel_timer(gap_timer_id_);
-            gap_timer_armed_ = false;
-        }
+        if (node_.timer_armed(gap_timer_)) node_.cancel_timer(gap_timer_);
         if (deliver_) deliver_(std::move(d));
     }
     arm_gap_timer();
 }
 
 void AomReceiver::arm_gap_timer() {
-    if (gap_timer_armed_) return;
+    if (node_.timer_armed(gap_timer_)) return;
     if (next_seq_ == 0) return;  // mid-epoch resume: no frontier yet
     // A gap exists if anything beyond next_seq_ is waiting (a pending
     // packet, an authenticated chain value, or a confirm-only entry).
@@ -492,14 +481,11 @@ void AomReceiver::arm_gap_timer() {
     }
     if (!has_later) return;
 
-    gap_timer_armed_ = true;
     gap_timer_seq_ = next_seq_;
-    gap_timer_id_ =
-        host_->aom_set_timer(opts_.gap_timeout, [this] { fire_gap_timer(); }, "gap_timeout");
+    gap_timer_ = node_.set_timer(opts_.gap_timeout, [this] { fire_gap_timer(); }, "gap_timeout");
 }
 
 void AomReceiver::fire_gap_timer() {
-    gap_timer_armed_ = false;
     if (next_seq_ == 0) return;  // resumed since arming: no frontier yet
     if (gap_timer_seq_ != next_seq_) {
         arm_gap_timer();
@@ -513,8 +499,8 @@ void AomReceiver::fire_gap_timer() {
 
     // The hole persisted: hand the application a drop-notification so the
     // protocol can run its gap agreement (§5.4).
-    if (obs::TraceSink* tr = host_->aom_trace()) {
-        tr->phase(host_->aom_now(), self_, "aom_drop_notification", next_seq_);
+    if (obs::TraceSink* tr = node_.sim().trace()) {
+        tr->phase(node_.sim().now(), node_.id(), "aom_drop_notification", next_seq_);
     }
     Delivery d;
     d.kind = Delivery::Kind::kDropNotification;

@@ -24,30 +24,9 @@
 #include "aom/wire.hpp"
 #include "crypto/identity.hpp"
 #include "sim/adaptive_batch.hpp"
-#include "sim/time.hpp"
-
-namespace neo::obs {
-class TraceSink;
-}
+#include "sim/processing_node.hpp"
 
 namespace neo::aom {
-
-/// Host services the receiver library needs (sending confirm packets,
-/// timers, current time). A ProcessingNode-based host implements these
-/// trivially; the indirection keeps the library independent of the
-/// simulator's node classes.
-class ReceiverHost {
-  public:
-    virtual ~ReceiverHost() = default;
-    virtual void aom_send(NodeId to, Bytes data) = 0;
-    /// `label` names the timer in traces; static storage duration required.
-    virtual std::uint64_t aom_set_timer(sim::Time delay, std::function<void()> fn,
-                                        const char* label) = 0;
-    virtual void aom_cancel_timer(std::uint64_t id) = 0;
-    virtual sim::Time aom_now() const = 0;
-    /// Trace sink for library-level events; nullptr disables tracing.
-    virtual obs::TraceSink* aom_trace() { return nullptr; }
-};
 
 struct ReceiverOptions {
     /// How long a sequence-number hole may persist before the library
@@ -84,8 +63,10 @@ class AomReceiver {
   public:
     using DeliverFn = std::function<void(Delivery)>;
 
-    AomReceiver(GroupConfig group, NodeId self, crypto::NodeCrypto* crypto,
-                const AomKeyService* keys, ReceiverHost* host, ReceiverOptions opts = {});
+    /// Runs on `node`, a member of `group`: confirms leave through its
+    /// sends, timeouts run on its timers, and its id is the receiver's.
+    AomReceiver(GroupConfig group, sim::ProcessingNode& node, crypto::NodeCrypto* crypto,
+                const AomKeyService* keys, ReceiverOptions opts = {});
 
     void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
@@ -174,10 +155,9 @@ class AomReceiver {
     const crypto::HalfSipKey& hm_key(NodeId sequencer);
 
     GroupConfig group_;
-    NodeId self_;
+    sim::ProcessingNode& node_;
     crypto::NodeCrypto* crypto_;
     const AomKeyService* keys_;
-    ReceiverHost* host_;
     ReceiverOptions opts_;
     DeliverFn deliver_;
     std::function<void(EpochNum, NodeId)> on_new_epoch_;
@@ -193,10 +173,9 @@ class AomReceiver {
 
     std::vector<ConfirmPacket::Entry> confirm_outbox_;
     sim::AdaptiveBatchController confirm_ctrl_;
-    bool confirm_timer_armed_ = false;
+    sim::ProcessingNode::TimerId confirm_timer_ = 0;
 
-    bool gap_timer_armed_ = false;
-    std::uint64_t gap_timer_id_ = 0;
+    sim::ProcessingNode::TimerId gap_timer_ = 0;
     SeqNum gap_timer_seq_ = 0;
 
     std::optional<NodeId> hm_key_switch_;  // whose key hm_key_ is

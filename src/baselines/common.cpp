@@ -111,10 +111,8 @@ void LeaderReplica::on_request(NodeId from, Request req) {
     batcher_.add(std::move(req));
     if (batcher_.should_seal_by_size()) {
         seal_batch();
-    } else if (!batch_timer_armed_) {
-        batch_timer_armed_ = true;
-        set_timer(batcher_.delay(), [this] {
-            batch_timer_armed_ = false;
+    } else if (!timer_armed(batch_timer_)) {
+        batch_timer_ = set_timer(batcher_.delay(), [this] {
             if (!batcher_.empty()) seal_batch();
         }, "batch_flush");
     }

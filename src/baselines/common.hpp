@@ -292,7 +292,7 @@ class LeaderReplica : public sim::ProcessingNode {
     std::unique_ptr<app::StateMachine> app_ = std::make_unique<app::EchoApp>();
     ExecProbe probe_;
     Batcher batcher_;
-    bool batch_timer_armed_ = false;
+    TimerId batch_timer_ = 0;
     /// Per client: the last executed request id and its cached answer.
     std::map<NodeId, std::pair<std::uint64_t, sim::Packet>> clients_;
     std::uint64_t requests_executed_ = 0;

@@ -22,15 +22,6 @@ class Client : public sim::ClientCore {
     Client(Config cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
            const aom::SequencerDirectory* directory, Options opts = {});
 
-    /// Schedules `fn` on this client's node after `delay` (a public wrapper
-    /// over the protected ProcessingNode timer, for coordinators that own
-    /// this client and share its simulator partition). Returns a timer id
-    /// for cancel_after().
-    TimerId run_after(sim::Time delay, std::function<void()> fn) {
-        return set_timer(delay, std::move(fn), "client-run-after");
-    }
-    void cancel_after(TimerId id) { cancel_timer(id); }
-
   protected:
     sim::Packet make_request(std::uint64_t request_id, Bytes op) override;
     /// Through aom to the group's current sequencer.

@@ -48,8 +48,7 @@ void Replica::set_auditor(obs::Auditor* a) {
 void Replica::bootstrap(aom::GroupConfig group, NodeId sequencer) {
     NEO_ASSERT_MSG(attached(), "attach the replica to the network before bootstrap()");
     group_ = std::move(group);
-    receiver_ = std::make_unique<aom::AomReceiver>(group_, id(), crypto_.get(), keys_, this,
-                                                   recv_opts_);
+    receiver_ = std::make_unique<aom::AomReceiver>(group_, *this, crypto_.get(), keys_, recv_opts_);
     receiver_->set_deliver([this](aom::Delivery d) { on_delivery(std::move(d)); });
     receiver_->set_on_new_epoch([this](EpochNum, NodeId) { maybe_enter_epoch(); });
     sequencer_ = sequencer;
@@ -310,8 +309,7 @@ void Replica::start_query(std::uint64_t slot) {
     send_to(cfg_.leader_of(view_), q.serialize());
     ++stats_.queries_sent;
 
-    round.query_timer_armed = true;
-    round.query_timer = set_timer(cfg_.query_retry, [this, slot] {
+    set_timer(cfg_.query_retry, [this, slot] {
         auto it = gaps_.find(slot);
         if (it == gaps_.end() || it->second.resolved || status_ != Status::kNormal) return;
         // Even after voting drop we keep querying: peers whose agreement
@@ -412,13 +410,11 @@ void Replica::leader_start_gap_agreement(std::uint64_t slot) {
 // replica last contributed.
 void Replica::arm_gap_retry(std::uint64_t slot) {
     GapRound& round = gaps_[slot];
-    if (round.retry_armed || round.resolved) return;
-    round.retry_armed = true;
-    set_timer(cfg_.query_retry, [this, slot] {
+    if (timer_armed(round.retry_timer) || round.resolved) return;
+    round.retry_timer = set_timer(cfg_.query_retry, [this, slot] {
         auto it = gaps_.find(slot);
         if (it == gaps_.end()) return;
         GapRound& r = it->second;
-        r.retry_armed = false;
         if (r.resolved || status_ != Status::kNormal) return;
 
         bool leader = cfg_.leader_of(view_) == id();
@@ -1191,8 +1187,6 @@ void Replica::crash() {
     pending_client_requests_.clear();
     view_changes_.clear();
     pending_view_start_.reset();
-    vc_rebroadcast_armed_ = false;
-    progress_timer_armed_ = false;
     epoch_starts_.clear();
     waiting_epoch_.reset();
     probe_join_view_.reset();

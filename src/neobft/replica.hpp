@@ -25,7 +25,7 @@ class Auditor;
 
 namespace neo::neobft {
 
-class Replica : public sim::ProcessingNode, public aom::ReceiverHost {
+class Replica : public sim::ProcessingNode {
   public:
     enum class Status {
         kNormal,
@@ -103,16 +103,6 @@ class Replica : public sim::ProcessingNode, public aom::ReceiverHost {
     /// counts) under `prefix` at every registry dump.
     void register_metrics(obs::Registry& reg, const std::string& prefix);
 
-    // ReceiverHost.
-    void aom_send(NodeId to, Bytes data) override { send_to(to, std::move(data)); }
-    std::uint64_t aom_set_timer(sim::Time delay, std::function<void()> fn,
-                                const char* label) override {
-        return set_timer(delay, std::move(fn), label);
-    }
-    void aom_cancel_timer(std::uint64_t id) override { cancel_timer(id); }
-    sim::Time aom_now() const override { return const_cast<Replica*>(this)->sim().now(); }
-    obs::TraceSink* aom_trace() override { return sim().trace(); }
-
   protected:
     void handle(NodeId from, BytesView data) override;
 
@@ -145,9 +135,7 @@ class Replica : public sim::ProcessingNode, public aom::ReceiverHost {
         GapCertificate outcome_cert;
         bool sent_gap_drop = false;   // we answered GAP-FIND with a drop -> block on decision
         bool find_received = false;   // leader asked before we reached the slot
-        std::uint64_t query_timer = 0;
-        bool query_timer_armed = false;
-        bool retry_armed = false;     // retransmission of gap-round messages
+        TimerId retry_timer = 0;      // retransmission of gap-round messages
     };
 
     void on_drop_notification(std::uint64_t slot);
@@ -298,10 +286,8 @@ class Replica : public sim::ProcessingNode, public aom::ReceiverHost {
     ViewId target_view_{1, 0};  // highest view we voted for
     std::map<ViewId, std::map<NodeId, ViewChange>> view_changes_;
     std::optional<ViewStart> pending_view_start_;  // waiting on state transfer
-    std::uint64_t vc_rebroadcast_timer_ = 0;
-    bool vc_rebroadcast_armed_ = false;
-    std::uint64_t progress_timer_ = 0;
-    bool progress_timer_armed_ = false;
+    TimerId vc_rebroadcast_timer_ = 0;
+    TimerId progress_timer_ = 0;
 
     // Epoch-wait state.
     std::map<EpochNum, std::map<NodeId, EpochStart>> epoch_starts_;

@@ -11,10 +11,8 @@ namespace neo::neobft {
 // ------------------------------------------------------------- suspicion
 
 void Replica::arm_progress_timer() {
-    if (progress_timer_armed_) return;
-    progress_timer_armed_ = true;
+    if (timer_armed(progress_timer_)) return;
     progress_timer_ = set_timer(cfg_.view_change_timeout, [this] {
-        progress_timer_armed_ = false;
         on_progress_timeout();
         arm_progress_timer();
     }, "progress");
@@ -97,10 +95,8 @@ void Replica::broadcast_view_change() {
     view_changes_[target_view_][id()] = vc;
     broadcast(cfg_.others(id()), vc.serialize());
 
-    if (!vc_rebroadcast_armed_) {
-        vc_rebroadcast_armed_ = true;
+    if (!timer_armed(vc_rebroadcast_timer_)) {
         vc_rebroadcast_timer_ = set_timer(cfg_.view_change_rebroadcast, [this] {
-            vc_rebroadcast_armed_ = false;
             if (status_ == Status::kViewChange) broadcast_view_change();
         }, "vc_rebroadcast");
     }

@@ -110,8 +110,8 @@ void ShardClient::on_prepare_vote(app::KvStatus vote) {
         ++stats_.wait_retries;
         Client* child = children_[pending_->participants[pending_->next_prepare]];
         pending_->backoff_child = child;
-        pending_->backoff_timer =
-            child->run_after(wait_backoff_, [this] { send_next_prepare(); });
+        pending_->backoff_timer = child->set_timer(
+            wait_backoff_, [this] { send_next_prepare(); }, "client-run-after");
         return;
     }
     // Abort vote (lock conflict with an older holder, bad request, or the
@@ -143,7 +143,7 @@ void ShardClient::on_phase2_done() {
 void ShardClient::abandon() {
     if (!pending_.has_value()) return;
     if (pending_->backoff_timer != 0 && pending_->backoff_child != nullptr) {
-        pending_->backoff_child->cancel_after(pending_->backoff_timer);
+        pending_->backoff_child->cancel_timer(pending_->backoff_timer);
     }
     for (Client* c : children_) c->abandon();
     ++stats_.abandoned_txns;

@@ -166,15 +166,6 @@ CriticalPathReport analyze_spans(const std::vector<SpanRecord>& spans) {
     return rep;
 }
 
-CriticalPathReport analyze_trace(const TraceSink& sink) {
-    std::vector<SpanRecord> spans;
-    for (const TraceEvent& e : sink.events()) {
-        if (e.kind != EventKind::kSpanBegin && e.kind != EventKind::kSpanEnd) continue;
-        spans.push_back({e.t, e.node, e.kind == EventKind::kSpanBegin, e.label, e.a, e.b});
-    }
-    return analyze_spans(spans);
-}
-
 std::string format_report(const CriticalPathReport& r) {
     char buf[256];
     std::string out;

@@ -76,9 +76,6 @@ extern const std::size_t kPhaseOrderCount;
 
 CriticalPathReport analyze_spans(const std::vector<SpanRecord>& spans);
 
-/// Pulls kSpanBegin/kSpanEnd events out of a sink and analyzes them.
-CriticalPathReport analyze_trace(const TraceSink& sink);
-
 /// The p50/p99 phase-attribution table + dominant-phase (critical path)
 /// distribution, as printed by fig7 --phases and bench/trace_report.
 std::string format_report(const CriticalPathReport& r);

@@ -49,7 +49,7 @@ void ProcessingNode::drain_one() {
     drain_scheduled_ = false;
 
     if (item.task) {
-        if (cancelled_timers_.erase(item.timer_id) == 0) {
+        if (live_timers_.erase(item.timer_id) == 1) {
             total_queue_wait_ += sim().now() - item.enqueued_at;
             run_task(cfg_.timer_overhead_ns, item.task, item.label);
         }
@@ -120,17 +120,18 @@ void ProcessingNode::broadcast(const std::vector<NodeId>& dests, const Packet& d
 ProcessingNode::TimerId ProcessingNode::set_timer(Time delay, std::function<void()> fn,
                                                   const char* label) {
     TimerId tid = next_timer_++;
+    live_timers_.insert(tid);
     if (obs::TraceSink* tr = sim().trace()) tr->timer_arm(sim().now(), id(), tid, label, delay);
     auto fire = [this, tid, label, fn = std::move(fn)]() mutable {
         if (net().is_down(id()) || tid < min_valid_timer_) {
-            cancelled_timers_.erase(tid);
+            live_timers_.erase(tid);
             return;
         }
         if (obs::TraceSink* tr = sim().trace()) {
             // Cancelled timers still pass through the queue (drain_one
             // suppresses them) so the simulator's event structure is
             // independent of cancellation; only the trace skips them.
-            if (!cancelled_timers_.contains(tid)) tr->timer_fire(sim().now(), id(), tid, label);
+            if (live_timers_.contains(tid)) tr->timer_fire(sim().now(), id(), tid, label);
         }
         // Timer work contends for the same CPU as message handling: enqueue
         // it behind whatever the node is currently processing.
@@ -144,7 +145,7 @@ ProcessingNode::TimerId ProcessingNode::set_timer(Time delay, std::function<void
 }
 
 void ProcessingNode::cancel_timer(TimerId id) {
-    cancelled_timers_.insert(id);
+    live_timers_.erase(id);
     if (obs::TraceSink* tr = sim().trace()) {
         tr->timer_cancel(sim().now(), this->id(), id);
     }

@@ -63,8 +63,6 @@ class ProcessingNode : public Node {
     /// Total virtual time this node's CPU has been busy (utilisation stats).
     Time busy_time() const { return total_busy_; }
     std::uint64_t messages_handled() const { return messages_handled_; }
-    /// Total virtual time arrivals waited in the queue before processing.
-    Time queue_wait_time() const { return total_queue_wait_; }
 
     Time cpu_busy_time() const override { return total_busy_; }
     Time cpu_queue_wait() const override { return total_queue_wait_; }
@@ -86,24 +84,36 @@ class ProcessingNode : public Node {
     const ProcessingConfig& processing_config() const { return cfg_; }
     void set_processing_config(const ProcessingConfig& cfg) { cfg_ = cfg; }
 
+    // Sends and timers are public for code that runs on this node without
+    // being the node, such as the aom receiver library inside a replica.
+
+    /// Outbound unicast: inside a task it departs when processing completes,
+    /// outside one (initialisation code) at once. Takes a Packet:
+    /// `send_to(to, msg.serialize())` wraps the bytes once; passing the same
+    /// Packet to several calls shares the buffer.
+    void send_to(NodeId to, Packet data);
+
+    /// One-shot timer. The callback runs through the same cost machinery as
+    /// message handlers. Returns a nonzero id for cancel_timer() and
+    /// timer_armed(). `label` names the timer in traces and must have
+    /// static storage duration.
+    TimerId set_timer(Time delay, std::function<void()> fn, const char* label = "timer");
+    void cancel_timer(TimerId id);
+    /// True from set_timer() until the callback starts, unless the timer
+    /// was cancelled, invalidated, or dropped because the node was down at
+    /// its deadline. False for id 0, which callers use for "no timer".
+    bool timer_armed(TimerId id) const {
+        return id >= min_valid_timer_ && live_timers_.contains(id);
+    }
+
   protected:
     /// Protocol logic. Runs when the CPU picks the message up; use send_to /
     /// broadcast for outputs — they depart when processing completes.
     virtual void handle(NodeId from, BytesView data) = 0;
 
-    /// Queues an outbound unicast (only valid inside handle()/timer fns).
-    /// Takes a Packet: `send_to(to, msg.serialize())` wraps the bytes once;
-    /// passing the same Packet to several calls shares the buffer.
-    void send_to(NodeId to, Packet data);
     /// Multicasts one shared buffer to every destination (counts one send
     /// each, but the payload is allocated exactly once).
     void broadcast(const std::vector<NodeId>& dests, const Packet& data);
-
-    /// One-shot timer. The callback runs through the same cost machinery as
-    /// message handlers. Returns an id usable with cancel_timer(). `label`
-    /// names the timer in traces and must have static storage duration.
-    TimerId set_timer(Time delay, std::function<void()> fn, const char* label = "timer");
-    void cancel_timer(TimerId id);
 
     /// Drops every timer armed so far (ids below the current watermark) —
     /// their callbacks are suppressed at fire time. Used by the crash-
@@ -156,7 +166,9 @@ class ProcessingNode : public Node {
 
     TimerId next_timer_ = 1;
     TimerId min_valid_timer_ = 0;
-    std::unordered_set<TimerId> cancelled_timers_;
+    /// Armed timers whose callback has not started and that were not
+    /// cancelled or dropped at fire time.
+    std::unordered_set<TimerId> live_timers_;
 
     void maybe_schedule_drain();
     void drain_one();

@@ -16,7 +16,7 @@
 namespace neo::aom::testutil {
 
 /// Application endpoint hosting an AomReceiver; records deliveries.
-class HostNode : public sim::ProcessingNode, public ReceiverHost {
+class HostNode : public sim::ProcessingNode {
   public:
     explicit HostNode(std::unique_ptr<crypto::NodeCrypto> crypto) : crypto_(std::move(crypto)) {
         set_meter(&crypto_->meter());
@@ -24,7 +24,7 @@ class HostNode : public sim::ProcessingNode, public ReceiverHost {
 
     void init_receiver(const GroupConfig& group, const AomKeyService* keys,
                        ReceiverOptions opts = {}) {
-        receiver_ = std::make_unique<AomReceiver>(group, id(), crypto_.get(), keys, this, opts);
+        receiver_ = std::make_unique<AomReceiver>(group, *this, crypto_.get(), keys, opts);
         receiver_->set_deliver([this](Delivery d) { deliveries.push_back(std::move(d)); });
     }
 
@@ -32,16 +32,6 @@ class HostNode : public sim::ProcessingNode, public ReceiverHost {
     crypto::NodeCrypto& crypto() { return *crypto_; }
 
     std::vector<Delivery> deliveries;
-
-    // ReceiverHost:
-    void aom_send(NodeId to, Bytes data) override { send_to(to, std::move(data)); }
-    std::uint64_t aom_set_timer(sim::Time delay, std::function<void()> fn,
-                                const char* label) override {
-        return set_timer(delay, std::move(fn), label);
-    }
-    void aom_cancel_timer(std::uint64_t id) override { cancel_timer(id); }
-    sim::Time aom_now() const override { return const_cast<HostNode*>(this)->sim().now(); }
-    obs::TraceSink* aom_trace() override { return sim().trace(); }
 
   protected:
     void handle(NodeId from, BytesView data) override {

@@ -1,6 +1,7 @@
-// Client timers under the harness deployments: every client's retry timer
-// recovers a lost request, and Zyzzyva's fast-path timer stays one per
-// request under load.
+// Client and replica timers under the harness deployments: every client's
+// retry timer recovers a lost request, Zyzzyva's fast-path timer stays one
+// per request under load, and a baseline primary re-arms its batch-flush
+// timer after a fail-silent window swallowed the last one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -53,10 +54,7 @@ struct LostRequest {
 
 void PrintTo(const LostRequest& r, std::ostream* os) { *os << r.name; }
 
-std::unique_ptr<Deployment> build(const std::string& name) {
-    CommonParams c;
-    c.n_clients = 1;
-    c.seed = 3;
+std::unique_ptr<Deployment> build(const std::string& name, const CommonParams& c) {
     if (name == "neo_hm") {
         NeoParams p;
         static_cast<CommonParams&>(p) = c;
@@ -68,6 +66,7 @@ std::unique_ptr<Deployment> build(const std::string& name) {
         return make_zyzzyva(p);
     }
     if (name == "pbft") return make_pbft(c);
+    if (name == "minbft") return make_minbft(c);
     return make_unreplicated(c);
 }
 
@@ -77,7 +76,10 @@ class ClientRetry : public ::testing::TestWithParam<LostRequest> {};
 // completion by `drops` retry timeouts and never stalls the client.
 TEST_P(ClientRetry, RecoversLostRequest) {
     const LostRequest& row = GetParam();
-    auto d = build(row.name);
+    CommonParams c;
+    c.n_clients = 1;
+    c.seed = 3;
+    auto d = build(row.name, c);
     constexpr NodeId kClient = 1'000;  // the harness numbers clients from 1000
     auto left = std::make_shared<int>(row.drops);
     d->network().set_tamper([left](NodeId from, NodeId, Bytes&) {
@@ -103,6 +105,35 @@ INSTANTIATE_TEST_SUITE_P(
                       LostRequest{"zyzzyva", 2, 20 * sim::kMillisecond},
                       LostRequest{"unreplicated", 1, 20 * sim::kMillisecond}),
     [](const ::testing::TestParamInfo<LostRequest>& info) { return std::string(info.param.name); });
+
+class LeaderOutage : public ::testing::TestWithParam<const char*> {};
+
+// The primary is down for 1 ms across a batch_flush deadline, so the node
+// drops that timer. Its batcher must see the timer as gone and arm a new
+// one; otherwise every later batch waits for client retries to fill it and
+// a 120 ms window completes a handful of requests.
+TEST_P(LeaderOutage, BatchTimerResumesAfterFailSilentWindow) {
+    CommonParams c;
+    c.n_clients = 4;
+    c.seed = 42;
+    auto d = build(GetParam(), c);
+    const NodeId primary = d->replica_ids().front();
+    sim::Network& net = d->network();
+    d->simulator().at_global(50'040 * sim::kMicrosecond,
+                             [&net, primary] { net.set_node_down(primary, true); });
+    d->simulator().at_global(51'040 * sim::kMicrosecond,
+                             [&net, primary] { net.set_node_down(primary, false); });
+    Measured m = run_closed_loop(*d, echo_ops(64), 80 * sim::kMillisecond,
+                                 120 * sim::kMillisecond);
+    EXPECT_GT(m.completed, 1'000u);
+}
+
+// HotStuff is left out: it sends each proposal and vote once, so a slot whose
+// messages fell in the outage never commits, whatever its batch timer does.
+INSTANTIATE_TEST_SUITE_P(Baselines, LeaderOutage, ::testing::Values("pbft", "zyzzyva", "minbft"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                             return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace neo::bench

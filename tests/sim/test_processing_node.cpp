@@ -20,9 +20,8 @@ class EchoNode : public ProcessingNode {
         send_to(from, Bytes(data.begin(), data.end()));
     }
 
-    using ProcessingNode::cancel_timer;
+    using ProcessingNode::invalidate_timers;
     using ProcessingNode::set_meter;
-    using ProcessingNode::set_timer;
 };
 
 class SinkNode : public Node {
@@ -183,6 +182,57 @@ TEST_F(ProcessingNodeTest, TimerOnDownNodeDoesNotFire) {
     net.set_node_down(1, true);
     sim.run();
     EXPECT_FALSE(fired);
+}
+
+TEST_F(ProcessingNodeTest, TimerArmedUntilCallbackStarts) {
+    ProcessingNode::TimerId tid = 0;
+    bool armed_inside = true;
+    tid = echo.set_timer(700, [&] { armed_inside = echo.timer_armed(tid); });
+    EXPECT_NE(tid, 0u);
+    EXPECT_TRUE(echo.timer_armed(tid));
+    sim.run_until(699);
+    EXPECT_TRUE(echo.timer_armed(tid));
+    sim.run();
+    EXPECT_FALSE(armed_inside);
+    EXPECT_FALSE(echo.timer_armed(tid));
+}
+
+TEST_F(ProcessingNodeTest, CancelWhileFiredTaskWaitsBehindBusyCpu) {
+    echo.extra_cost = 10'000;
+    bool fired = false;
+    net.send(2, 1, to_bytes("work"));  // arrives 1000, busy until 11150
+    auto tid = echo.set_timer(1500, [&] { fired = true; });
+    sim.run_until(5'000);  // fired at 1500; its task waits for the CPU
+    EXPECT_TRUE(echo.timer_armed(tid));
+    echo.cancel_timer(tid);
+    EXPECT_FALSE(echo.timer_armed(tid));
+    sim.run();
+    EXPECT_FALSE(fired);
+    EXPECT_FALSE(echo.timer_armed(tid));
+}
+
+TEST_F(ProcessingNodeTest, TimerDroppedWhileDownIsNotArmedAfterRecovery) {
+    bool fired = false;
+    auto tid = echo.set_timer(500, [&] { fired = true; });
+    net.set_node_down(1, true);
+    sim.run_until(1'000);
+    net.set_node_down(1, false);
+    EXPECT_FALSE(echo.timer_armed(tid));
+    sim.run();
+    EXPECT_FALSE(fired);
+}
+
+TEST_F(ProcessingNodeTest, InvalidatedTimerAndIdZeroAreNotArmed) {
+    EXPECT_FALSE(echo.timer_armed(0));
+    bool fired = false;
+    auto before = echo.set_timer(500, [&] { fired = true; });
+    echo.invalidate_timers();
+    EXPECT_FALSE(echo.timer_armed(before));
+    auto after = echo.set_timer(500, [] {});
+    EXPECT_TRUE(echo.timer_armed(after));
+    sim.run();
+    EXPECT_FALSE(fired);
+    EXPECT_FALSE(echo.timer_armed(before));
 }
 
 TEST_F(ProcessingNodeTest, SendOutsideTaskGoesImmediately) {
