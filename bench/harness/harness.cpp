@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 
@@ -193,26 +192,9 @@ Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim:
 
 // ----------------------------------------------------------- observability
 
-namespace {
-
-/// `--flag <value>` or `--flag=<value>` from argv, else `env`, else "".
-std::string arg_or_env(int argc, char* const* argv, const char* flag, const char* env) {
-    const std::size_t flen = std::strlen(flag);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[i + 1];
-        if (std::strncmp(argv[i], flag, flen) == 0 && argv[i][flen] == '=') {
-            return argv[i] + flen + 1;
-        }
-    }
-    const char* e = std::getenv(env);
-    return e ? e : "";
-}
-
-}  // namespace
-
 ObsSession::ObsSession(int argc, char* const* argv)
-    : trace_path_(arg_or_env(argc, argv, "--trace", "NEO_TRACE")),
-      metrics_path_(arg_or_env(argc, argv, "--metrics", "NEO_METRICS")) {
+    : trace_path_(flag_value(argc, argv, "--trace", "NEO_TRACE")),
+      metrics_path_(flag_value(argc, argv, "--metrics", "NEO_METRICS")) {
     // Reuse the runner's uniform CLI parsing so the metrics file's "meta"
     // header records the same seed / sim-threads values the runs used.
     BenchOptions o = BenchOptions::parse(argc, argv);
@@ -501,7 +483,7 @@ class NeoDeployment : public ReplicatedDeployment<neobft::Replica, neobft::Clien
         }
         std::vector<aom::SequencerSwitch*> pool;
         for (auto& sw : switches_) pool.push_back(sw.get());
-        config_ = std::make_unique<aom::ConfigService>(&keys_, pool);
+        config_ = std::make_unique<aom::ConfigService>(pool);
         net_.add_node(*config_, kConfigId + shift);
         for (std::size_t s = 0; s < n_groups; ++s) config_->register_group(groups[s], s);
 

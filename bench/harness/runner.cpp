@@ -17,9 +17,6 @@ namespace neo::bench {
 
 // ------------------------------------------------------------------ options
 
-namespace {
-
-/// `--flag <value>` / `--flag=<value>` from argv, else `env`, else "".
 std::string flag_value(int argc, char* const* argv, const char* flag, const char* env) {
     const std::size_t flen = std::strlen(flag);
     for (int i = 1; i < argc; ++i) {
@@ -31,6 +28,8 @@ std::string flag_value(int argc, char* const* argv, const char* flag, const char
     const char* e = std::getenv(env);
     return e ? e : "";
 }
+
+namespace {
 
 bool flag_present(int argc, char* const* argv, const char* flag) {
     for (int i = 1; i < argc; ++i) {

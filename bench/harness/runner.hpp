@@ -29,6 +29,9 @@
 
 namespace neo::bench {
 
+/// `--flag <value>` / `--flag=<value>` from argv, else `env`, else "".
+std::string flag_value(int argc, char* const* argv, const char* flag, const char* env);
+
 struct BenchOptions {
     std::string json_path;        // empty = no JSON output
     std::uint64_t base_seed = 42;

@@ -80,7 +80,7 @@ int main() {
     sequencer.keys = &keys;
     sequencer.receivers = group.receivers;
     net.add_node(sequencer, 200);
-    aom::ConfigService config(&keys, {&sequencer});
+    aom::ConfigService config({&sequencer});
     net.add_node(config, 100);
     config.register_group(group);
 

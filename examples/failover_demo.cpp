@@ -40,7 +40,7 @@ int main() {
     aom::SequencerSwitch standby({}, root.provision(201), &keys);
     net.add_node(primary, 200);
     net.add_node(standby, 201);
-    aom::ConfigService config(&keys, {&primary, &standby});
+    aom::ConfigService config({&primary, &standby});
     net.add_node(config, 100);
     config.register_group(group);
 

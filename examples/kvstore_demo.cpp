@@ -36,7 +36,7 @@ int main() {
 
     aom::SequencerSwitch sequencer({}, root.provision(200), &keys);
     net.add_node(sequencer, 200);
-    aom::ConfigService config(&keys, {&sequencer});
+    aom::ConfigService config({&sequencer});
     net.add_node(config, 100);
     config.register_group(group);
 

@@ -41,7 +41,7 @@ int main() {
     // 4. The in-network sequencer and its configuration service.
     aom::SequencerSwitch sequencer({}, root.provision(200), &keys);
     net.add_node(sequencer, 200);
-    aom::ConfigService config(&keys, {&sequencer});
+    aom::ConfigService config({&sequencer});
     net.add_node(config, 100);
     config.register_group(group);
 

@@ -17,14 +17,6 @@ void ConfigService::register_group(const GroupConfig& group, std::size_t initial
     groups_[group.group] = std::move(gs);
 }
 
-std::vector<GroupConfig> ConfigService::sharded_groups() const {
-    std::vector<GroupConfig> out;
-    for (const auto& [gid, gs] : groups_) {
-        if (gs.cfg.key_lo != 0 || gs.cfg.key_hi != 0) out.push_back(gs.cfg);
-    }
-    return out;
-}
-
 NodeId ConfigService::current_sequencer(GroupId group) const {
     auto it = groups_.find(group);
     if (it == groups_.end()) return kInvalidNode;

@@ -1,11 +1,10 @@
 // aom configuration service (§4.1, §4.2).
 //
-// Owns group membership, key provisioning and sequencer assignment. On
-// receiving f+1 distinct failover requests for the next epoch it installs
-// the group on the next switch in the pool (after a reconfiguration delay
-// modelling the network-level routing updates the paper measured at the
-// bulk of the ~100 ms failover, §6.4) and announces the new epoch to all
-// receivers.
+// Owns group membership and sequencer assignment. On receiving f+1
+// distinct failover requests for the next epoch it installs the group on
+// the next switch in the pool (after a reconfiguration delay modelling the
+// network-level routing updates the paper measured at the bulk of the
+// ~100 ms failover, §6.4) and announces the new epoch to all receivers.
 //
 // Per §5.1 the service itself follows the standard trusted-infrastructure
 // assumption: it is modelled as a correct, always-available node.
@@ -25,9 +24,9 @@ namespace neo::aom {
 
 class ConfigService : public sim::ProcessingNode, public SequencerDirectory {
   public:
-    ConfigService(AomKeyService* keys, std::vector<SequencerSwitch*> switch_pool,
-                  sim::Time reconfig_delay = 50 * sim::kMillisecond)
-        : keys_(keys), pool_(std::move(switch_pool)), reconfig_delay_(reconfig_delay) {}
+    explicit ConfigService(std::vector<SequencerSwitch*> switch_pool,
+                           sim::Time reconfig_delay = 50 * sim::kMillisecond)
+        : pool_(std::move(switch_pool)), reconfig_delay_(reconfig_delay) {}
 
     /// Registers a group and installs it on pool switch `initial_switch`
     /// at epoch 1. Sharded deployments spread their N groups across the
@@ -35,15 +34,10 @@ class ConfigService : public sim::ProcessingNode, public SequencerDirectory {
     /// failover moves a group to the next switch round-robin.
     void register_group(const GroupConfig& group, std::size_t initial_switch = 0);
 
-    /// Every registered group that owns a keyspace range (key_lo/key_hi
-    /// set), in GroupId order — the table a ShardRouter is built from.
-    std::vector<GroupConfig> sharded_groups() const;
-
     // SequencerDirectory.
     NodeId current_sequencer(GroupId group) const override;
     EpochNum current_epoch(GroupId group) const override;
 
-    const AomKeyService* key_service() const { return keys_; }
     const GroupConfig& group_config(GroupId group) const;
 
     /// Test/bench hook: forces an immediate failover without waiting for
@@ -67,7 +61,6 @@ class ConfigService : public sim::ProcessingNode, public SequencerDirectory {
 
     void start_reconfig(GroupState& gs, EpochNum next_epoch);
 
-    AomKeyService* keys_;
     std::vector<SequencerSwitch*> pool_;
     sim::Time reconfig_delay_;
     std::map<GroupId, GroupState> groups_;

@@ -72,7 +72,6 @@ void ExecProbe::on_execute_wire(sim::ProcessingNode& node, BytesView wire) {
 LeaderReplica::LeaderReplica(BaseConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
     : cfg_(std::move(cfg)), crypto_(std::move(crypto)), batcher_(cfg_.batch_policy()) {
     set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
 }
 
 void LeaderReplica::handle(NodeId from, BytesView data) {
@@ -219,7 +218,6 @@ void QuorumClient::handle(NodeId from, BytesView data) {
 UnreplicatedServer::UnreplicatedServer(std::unique_ptr<crypto::NodeCrypto> crypto)
     : crypto_(std::move(crypto)) {
     set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
 }
 
 void UnreplicatedServer::handle(NodeId from, BytesView data) {

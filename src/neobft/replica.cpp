@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "common/assert.hpp"
-#include "sim/costs.hpp"
 #include "common/logging.hpp"
 #include "obs/auditor.hpp"
 #include "obs/metrics.hpp"
@@ -20,7 +19,6 @@ Replica::Replica(Config cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
     : cfg_(std::move(cfg)), crypto_(std::move(crypto)), keys_(keys), app_(std::move(app)),
       recv_opts_(recv_opts) {
     set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
     epoch_start_slot_[1] = 1;
     genesis_snapshot_ = app_->snapshot();
     NEO_ASSERT_MSG(cfg_.checkpoint_interval == 0 ||
@@ -57,7 +55,6 @@ void Replica::bootstrap(aom::GroupConfig group, NodeId sequencer) {
 }
 
 void Replica::handle(NodeId from, BytesView data) {
-    if (silent_) return;
     if (aom::is_aom_packet(data)) {
         receiver_->on_packet(from, data);
         return;
@@ -179,12 +176,12 @@ void Replica::append_request(aom::OrderingCert oc) {
     crypto_->meter().charge(crypto_->root().costs().hash_base_ns);  // hash chain step
 
     std::uint64_t slot = log_.size();
-    execute_slot(slot);
+    execute_slot(slot, req);
     maybe_take_checkpoint(slot);
     maybe_start_sync();
 }
 
-void Replica::execute_slot(std::uint64_t slot) {
+void Replica::execute_slot(std::uint64_t slot, const std::optional<Request>& req) {
     LogEntry& entry = log_.at(slot);
     NEO_ASSERT(!entry.executed);
     entry.executed = true;
@@ -192,12 +189,10 @@ void Replica::execute_slot(std::uint64_t slot) {
         auditor_->on_execute(sim().current_shard(), sim().now(), id(), slot,
                              audit_digest(entry), entry.noop(), audit_replay_, cfg_.group);
     }
-    if (entry.noop() || !entry.valid_request) {
+    if (!entry.valid_request) {
         executed_ = slot;
         return;
     }
-
-    auto req = Request::parse_payload(entry.oc().payload);
     NEO_ASSERT(req.has_value());
 
     // At-most-once: duplicates (client retries that got sequenced twice)
@@ -289,15 +284,27 @@ void Replica::on_drop_notification(std::uint64_t slot) {
         // If the leader's GAP-FIND raced ahead of our drop-notification,
         // answer it now.
         if (round.find_received && !round.sent_gap_drop) {
-            GapDrop drop;
-            drop.view = view_;
-            drop.replica = id();
-            drop.slot = slot;
-            drop.signature = crypto_->sign(drop.signed_body());
             round.sent_gap_drop = true;
-            send_to(cfg_.leader_of(view_), drop.serialize());
+            send_to(cfg_.leader_of(view_), signed_drop(slot).serialize());
         }
     }
+}
+
+GapDrop Replica::signed_drop(std::uint64_t slot) {
+    GapDrop drop;
+    drop.view = view_;
+    drop.replica = id();
+    drop.slot = slot;
+    drop.signature = crypto_->sign(drop.signed_body());
+    return drop;
+}
+
+GapFind Replica::signed_find(std::uint64_t slot) {
+    GapFind find;
+    find.view = view_;
+    find.slot = slot;
+    find.signature = crypto_->sign(find.signed_body());
+    return find;
 }
 
 void Replica::start_query(std::uint64_t slot) {
@@ -383,23 +390,12 @@ bool Replica::verify_oc_for_slot(const aom::OrderingCert& oc, std::uint64_t slot
 
 void Replica::leader_start_gap_agreement(std::uint64_t slot) {
     GapRound& round = gaps_[slot];
-    if (round.find_sent || round.resolved) return;
-    round.find_sent = true;
+    if (round.drops.contains(id()) || round.resolved) return;
     ++stats_.gap_agreements_started;
 
     // The leader's own drop-notification counts as its gap-drop-message.
-    GapDrop own;
-    own.view = view_;
-    own.replica = id();
-    own.slot = slot;
-    own.signature = crypto_->sign(own.signed_body());
-    round.drops[id()] = own;
-
-    GapFind find;
-    find.view = view_;
-    find.slot = slot;
-    find.signature = crypto_->sign(find.signed_body());
-    broadcast(cfg_.others(id()), find.serialize());
+    round.drops[id()] = signed_drop(slot);
+    broadcast(cfg_.others(id()), signed_find(slot).serialize());
     leader_try_decide(slot);
     arm_gap_retry(slot);
 }
@@ -418,31 +414,20 @@ void Replica::arm_gap_retry(std::uint64_t slot) {
         if (r.resolved || status_ != Status::kNormal) return;
 
         bool leader = cfg_.leader_of(view_) == id();
-        if (leader && r.find_sent && !r.decision.has_value()) {
-            GapFind find;
-            find.view = view_;
-            find.slot = slot;
-            find.signature = crypto_->sign(find.signed_body());
-            broadcast(cfg_.others(id()), find.serialize());
+        if (leader && r.drops.contains(id()) && !r.decision.has_value()) {
+            broadcast(cfg_.others(id()), signed_find(slot).serialize());
         }
         if (leader && r.decision.has_value()) {
             broadcast(cfg_.others(id()), r.decision->serialize());
         }
         if (!leader && r.sent_gap_drop && !r.decision.has_value()) {
-            GapDrop drop;
-            drop.view = view_;
-            drop.replica = id();
-            drop.slot = slot;
-            drop.signature = crypto_->sign(drop.signed_body());
-            send_to(cfg_.leader_of(view_), drop.serialize());
+            send_to(cfg_.leader_of(view_), signed_drop(slot).serialize());
         }
-        if (r.prepare_sent) {
-            auto pit = r.prepares.find(id());
-            if (pit != r.prepares.end()) broadcast(cfg_.others(id()), pit->second.serialize());
+        if (auto pit = r.prepares.find(id()); pit != r.prepares.end()) {
+            broadcast(cfg_.others(id()), pit->second.serialize());
         }
-        if (r.commit_sent) {
-            auto cit = r.commits.find(id());
-            if (cit != r.commits.end()) broadcast(cfg_.others(id()), cit->second.serialize());
+        if (auto cit = r.commits.find(id()); cit != r.commits.end()) {
+            broadcast(cfg_.others(id()), cit->second.serialize());
         }
         arm_gap_retry(slot);
     }, "gap_retry");
@@ -463,13 +448,8 @@ void Replica::on_gap_find(NodeId from, Reader& r) {
         recv.oc = log_.at(m.slot).oc();
         send_to(from, recv.serialize());
     } else if (blocked_slot_.has_value() && *blocked_slot_ == m.slot && !round.sent_gap_drop) {
-        GapDrop drop;
-        drop.view = view_;
-        drop.replica = id();
-        drop.slot = m.slot;
-        drop.signature = crypto_->sign(drop.signed_body());
         round.sent_gap_drop = true;
-        send_to(from, drop.serialize());
+        send_to(from, signed_drop(m.slot).serialize());
     }
     // Otherwise: we have not reached this slot yet; we will answer when the
     // delivery or drop-notification arrives (find_received_ is recorded).
@@ -585,8 +565,7 @@ void Replica::try_gap_progress(std::uint64_t slot) {
     if (round.resolved) return;
 
     // Decision validated -> broadcast our prepare (once).
-    if (round.decision.has_value() && !round.prepare_sent) {
-        round.prepare_sent = true;
+    if (round.decision.has_value() && !round.prepares.contains(id())) {
         arm_gap_retry(slot);
         GapPrepare p;
         p.view = view_;
@@ -599,13 +578,12 @@ void Replica::try_gap_progress(std::uint64_t slot) {
     }
 
     // 2f matching prepares + validated decision -> broadcast commit (once).
-    if (round.decision.has_value() && !round.commit_sent) {
+    if (round.decision.has_value() && !round.commits.contains(id())) {
         std::size_t matching = 0;
         for (const auto& [node, p] : round.prepares) {
             if (p.recv == round.decision->recv) ++matching;
         }
         if (matching >= static_cast<std::size_t>(2 * cfg_.f)) {
-            round.commit_sent = true;
             arm_gap_retry(slot);
             GapCommit c;
             c.view = view_;
@@ -717,11 +695,7 @@ void Replica::commit_noop(std::uint64_t slot, GapCertificate cert) {
     view_noop_certs_.push_back(cert);
     if (!log_.has(slot)) {
         NEO_ASSERT(slot == log_.size() + 1);
-        LogEntry entry;
-        entry.cert = std::move(cert);
-        log_.append(std::move(entry));
-        log_.at(slot).executed = true;
-        executed_ = slot;
+        append_noop(std::move(cert));
         if (auditor_) {
             auditor_->on_execute(sim().current_shard(), sim().now(), id(), slot, 0, true,
                                  audit_replay_, cfg_.group);
@@ -734,10 +708,7 @@ void Replica::commit_noop(std::uint64_t slot, GapCertificate cert) {
 
     // Speculatively executed request superseded by a committed no-op: roll
     // back and re-execute the tail (§5.4 last paragraph).
-    LogEntry entry;
-    entry.cert = std::move(cert);
-    entry.executed = true;
-    rollback_and_reexecute_replace(slot, std::move(entry));
+    rollback_to_noop(std::move(cert));
 }
 
 void Replica::unblock(std::uint64_t slot) {
@@ -747,29 +718,73 @@ void Replica::unblock(std::uint64_t slot) {
     }
 }
 
-// ----------------------------------------------------- execution / rollback
+// ------------------------------------------------------------- log rewrites
+//
+// Every write into the log other than the normal-path append_request goes
+// through these: a gap no-op (§5.4), a missed no-op from a sync
+// certificate (§B.2), the view-change merge (§5.5, §B.1) and state
+// transfer.
 
-void Replica::rollback_and_reexecute_replace(std::uint64_t slot, LogEntry replacement) {
-    ++stats_.rollbacks;
-    if (obs::TraceSink* tr = sim().trace()) tr->phase(sim().now(), id(), "rollback", slot);
-    // An eager snapshot covering the rolled-back suffix is void.
+namespace {
+/// A committed no-op: backed by its gap certificate, and executed as soon
+/// as it is written (it applies nothing).
+LogEntry noop_entry(GapCertificate cert) {
+    LogEntry entry;
+    entry.cert = std::move(cert);
+    entry.executed = true;
+    return entry;
+}
+}  // namespace
+
+void Replica::append_noop(GapCertificate cert) {
+    log_.append(noop_entry(std::move(cert)));
+    executed_ = log_.size();
+}
+
+/// Appends an entry a peer sent (already checked by valid_entry).
+void Replica::append_entry(const WireLogEntry& w) {
+    if (w.noop) {
+        append_noop(w.gap_cert);
+    } else {
+        append_request(w.oc);
+    }
+}
+
+/// Undoes every applied application op at slots >= `slot`, newest first.
+/// An eager snapshot covering that suffix is void.
+void Replica::undo_from(std::uint64_t slot) {
     if (pending_ckpt_.has_value() && pending_ckpt_->slot >= slot) pending_ckpt_.reset();
-    // Undo every applied application op at slots >= `slot` (LIFO).
-    for (std::uint64_t s = log_.size(); s >= slot; --s) {
+    for (std::uint64_t s = log_.size(); s >= slot && log_.has(s); --s) {
         LogEntry& e = log_.at(s);
         if (e.applied) {
             app_->undo_last();
             e.applied = false;
         }
-        if (s == slot) break;
     }
-    log_.replace(slot, std::move(replacement));
+}
+
+/// Cuts the log back to slot - 1, undoing what the cut entries applied.
+void Replica::rewind_to(std::uint64_t slot) {
+    undo_from(slot);
+    if (slot <= log_.size()) log_.truncate_to(slot - 1);
+    executed_ = log_.size();
+}
+
+void Replica::rollback_to_noop(GapCertificate cert) {
+    const std::uint64_t slot = cert.slot;
+    ++stats_.rollbacks;
+    if (obs::TraceSink* tr = sim().trace()) tr->phase(sim().now(), id(), "rollback", slot);
+    undo_from(slot);
+    log_.replace(slot, noop_entry(std::move(cert)));
 
     // Re-execute the tail; replies are re-sent with the new log hashes.
     // These slots were all reported to the auditor once already, so the
     // repeat records carry replay=true (frontier-check exempt). The frontier
     // tracks the replay so checkpoint boundaries inside the tail snapshot
-    // the exact re-executed state.
+    // the exact re-executed state. This is not execute_slot: the client
+    // table still lists the rolled-back requests (their replies went out
+    // before the rollback), so its at-most-once check would skip them,
+    // yet each must run again on the rewound state.
     executed_ = slot - 1;
     for (std::uint64_t s = slot; s <= log_.size(); ++s) {
         LogEntry& e = log_.at(s);
@@ -846,12 +861,7 @@ void Replica::try_complete_sync(std::uint64_t slot) {
     for (auto& [node, msg] : it->second) {
         for (const auto& cert : msg.drops) {
             if (!cert.recv && log_.has(cert.slot) && !log_.at(cert.slot).noop()) {
-                if (verify_gap_certificate(cert, cfg_, *crypto_)) {
-                    LogEntry entry;
-                    entry.cert = cert;
-                    entry.executed = true;
-                    rollback_and_reexecute_replace(cert.slot, std::move(entry));
-                }
+                if (verify_gap_certificate(cert, cfg_, *crypto_)) rollback_to_noop(cert);
             }
         }
     }
@@ -920,6 +930,16 @@ std::uint64_t Replica::audit_digest(const LogEntry& e) const {
     // Equivocation fault injection: report a corrupted execution digest so
     // this replica disagrees with the honest ones at the same slot.
     return equivocate_ ? (d ^ 0x6571756976ULL) : d;
+}
+
+/// Resets the auditor's execution frontier for this replica to `slot`: a
+/// replayed no-op record, which the frontier check accepts below the
+/// previous frontier.
+void Replica::audit_frontier(std::uint64_t slot) {
+    if (auditor_) {
+        auditor_->on_execute(sim().current_shard(), sim().now(), id(), slot, 0, true,
+                             /*replay=*/true, cfg_.group);
+    }
 }
 
 void Replica::maybe_take_checkpoint(std::uint64_t slot) {
@@ -1047,13 +1067,9 @@ void Replica::install_checkpoint(std::uint64_t slot, const Digest32& log_hash,
         stable_ckpt_ = std::move(ck);
     }
     ++stats_.ckpt_installs;
-    if (auditor_) {
-        // Restore marker: a replay no-op record at the new frontier resets
-        // the auditor's per-replica execution frontier so the recovering
-        // replica's next live slot is not flagged as a regression.
-        auditor_->on_execute(sim().current_shard(), sim().now(), id(), slot, 0, true, true,
-                             cfg_.group);
-    }
+    // Restore marker: the recovering replica's next live slot is not
+    // flagged as a regression.
+    audit_frontier(slot);
     if (obs::TraceSink* tr = sim().trace()) tr->phase(sim().now(), id(), "ckpt_install", slot);
 }
 
@@ -1211,10 +1227,8 @@ void Replica::recover() {
         Bytes payload = stable_ckpt_->payload;
         install_checkpoint(stable_ckpt_->slot, stable_ckpt_->log_hash, stable_ckpt_->cert,
                            payload, /*adopt_as_stable=*/false);
-    } else if (auditor_) {
-        // No durable checkpoint: the frontier resets to genesis.
-        auditor_->on_execute(sim().current_shard(), sim().now(), id(), 0, 0, true, true,
-                             cfg_.group);
+    } else {
+        audit_frontier(0);  // no durable checkpoint: back to genesis
     }
     // Rejoin the aom stream mid-epoch: the receiver adopts the live sequence
     // number from the first authenticated packet (HMAC mode; a PK hash

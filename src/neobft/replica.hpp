@@ -68,9 +68,6 @@ class Replica : public sim::ProcessingNode {
     aom::AomReceiver& receiver() { return *receiver_; }
     app::StateMachine& app() { return *app_; }
 
-    /// Fault injection for tests: a silent replica handles nothing.
-    void set_silent(bool silent) { silent_ = silent; }
-
     /// Byzantine fault injection: an equivocating replica reports corrupted
     /// execution digests to the auditor and appends a poison byte to every
     /// client reply result. Honest 2f+1 quorums still commit (liveness
@@ -112,7 +109,7 @@ class Replica : public sim::ProcessingNode {
     void process_delivery(aom::Delivery& d);
     std::uint64_t slot_for(EpochNum epoch, SeqNum seq) const;
     void append_request(aom::OrderingCert oc);
-    void execute_slot(std::uint64_t slot);
+    void execute_slot(std::uint64_t slot, const std::optional<Request>& req);
     void send_reply(std::uint64_t slot, Bytes result);
     void drain_backlog();
 
@@ -120,14 +117,14 @@ class Replica : public sim::ProcessingNode {
     void on_request_unicast(NodeId from, Reader& r);
 
     // ---- gap agreement (§5.4) ----
+    /// This replica's own votes sit in the maps beside its peers': the
+    /// leader's drop in `drops` once it sent GAP-FIND, and our prepare and
+    /// commit once sent.
     struct GapRound {
         std::map<NodeId, GapDrop> drops;
         std::optional<GapDecision> decision;  // validated
         std::map<NodeId, GapPrepare> prepares;
         std::map<NodeId, GapCommit> commits;
-        bool find_sent = false;
-        bool prepare_sent = false;
-        bool commit_sent = false;
         bool resolved = false;
         bool applied = false;         // outcome written into the log
         bool outcome_recv = false;
@@ -139,6 +136,8 @@ class Replica : public sim::ProcessingNode {
     };
 
     void on_drop_notification(std::uint64_t slot);
+    GapDrop signed_drop(std::uint64_t slot);
+    GapFind signed_find(std::uint64_t slot);
     void start_query(std::uint64_t slot);
     void on_query(NodeId from, Reader& r);
     void on_query_reply(NodeId from, Reader& r);
@@ -163,8 +162,13 @@ class Replica : public sim::ProcessingNode {
     void unblock(std::uint64_t slot);
     bool verify_oc_for_slot(const aom::OrderingCert& oc, std::uint64_t slot);
 
-    // ---- execution / rollback ----
-    void rollback_and_reexecute_replace(std::uint64_t slot, LogEntry replacement);
+    // ---- log rewrites ----
+    void append_noop(GapCertificate cert);
+    void append_entry(const WireLogEntry& w);
+    bool valid_entry(const WireLogEntry& w, std::uint64_t slot);
+    void undo_from(std::uint64_t slot);
+    void rewind_to(std::uint64_t slot);
+    void rollback_to_noop(GapCertificate cert);
 
     // ---- state sync (§B.2) ----
     void maybe_start_sync();
@@ -181,6 +185,7 @@ class Replica : public sim::ProcessingNode {
         SyncCertificate cert;           // empty until stable
     };
     std::uint64_t audit_digest(const LogEntry& e) const;
+    void audit_frontier(std::uint64_t slot);
     void maybe_take_checkpoint(std::uint64_t slot);
     Bytes build_checkpoint_payload(std::uint64_t slot, std::uint64_t applied_ops) const;
     void install_checkpoint(std::uint64_t slot, const Digest32& log_hash,
@@ -228,7 +233,6 @@ class Replica : public sim::ProcessingNode {
     ViewId view_{1, 0};
     Log log_;
     Stats stats_;
-    bool silent_ = false;
     obs::Auditor* auditor_ = nullptr;
     /// True while re-executing slots already reported once (rollback, view
     /// merge, state transfer): auditor records carry replay=true so the

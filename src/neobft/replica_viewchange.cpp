@@ -19,7 +19,6 @@ void Replica::arm_progress_timer() {
 }
 
 void Replica::on_progress_timeout() {
-    if (silent_) return;
     sim::Time now = sim().now();
 
     if (status_ == Status::kNormal) {
@@ -105,6 +104,18 @@ void Replica::broadcast_view_change() {
 
 // -------------------------------------------------------------- validation
 
+/// A log entry a peer sent for `slot`: a no-op needs a valid drop
+/// certificate for that slot, a request a matching digest and a valid
+/// ordering certificate.
+bool Replica::valid_entry(const WireLogEntry& w, std::uint64_t slot) {
+    if (w.noop) {
+        return !w.gap_cert.recv && w.gap_cert.slot == slot &&
+               verify_gap_certificate(w.gap_cert, cfg_, *crypto_);
+    }
+    return crypto_->hash(w.oc.payload) == w.oc.digest &&
+           aom::verify_cert(w.oc, receiver_->verify_context());
+}
+
 bool Replica::validate_view_change_msg(const ViewChange& vc) {
     if (!cfg_.is_replica(vc.replica)) return false;
     if (!crypto_->verify(vc.replica, vc.signed_body(), vc.signature)) return false;
@@ -132,28 +143,25 @@ bool Replica::validate_view_change_msg(const ViewChange& vc) {
     for (std::size_t i = 0; i < vc.suffix.size(); ++i) {
         std::uint64_t slot = vc.suffix_base + i + 1;
         const WireLogEntry& e = vc.suffix[i];
+        if (!valid_entry(e, slot)) return false;
         if (e.noop) {
-            if (e.gap_cert.recv || e.gap_cert.slot != slot) return false;
-            if (!verify_gap_certificate(e.gap_cert, cfg_, *crypto_)) return false;
             if (prev_seq.has_value()) ++*prev_seq;  // no-op consumes a sequence slot
-        } else {
-            if (crypto_->hash(e.oc.payload) != e.oc.digest) return false;
-            if (!aom::verify_cert(e.oc, receiver_->verify_context())) return false;
-            if (prev_entry_epoch == e.oc.epoch && prev_seq.has_value() &&
-                e.oc.seq != *prev_seq + 1) {
-                return false;
-            }
-            // Epoch boundary inside the suffix must match a declared start.
-            if (prev_entry_epoch.has_value() && e.oc.epoch != *prev_entry_epoch) {
-                bool declared = false;
-                for (const auto& info : vc.epochs) {
-                    if (info.epoch == e.oc.epoch && info.start_slot == slot) declared = true;
-                }
-                if (!declared || e.oc.seq != 1) return false;
-            }
-            prev_seq = e.oc.seq;
-            prev_entry_epoch = e.oc.epoch;
+            continue;
         }
+        if (prev_entry_epoch == e.oc.epoch && prev_seq.has_value() &&
+            e.oc.seq != *prev_seq + 1) {
+            return false;
+        }
+        // Epoch boundary inside the suffix must match a declared start.
+        if (prev_entry_epoch.has_value() && e.oc.epoch != *prev_entry_epoch) {
+            bool declared = false;
+            for (const auto& info : vc.epochs) {
+                if (info.epoch == e.oc.epoch && info.start_slot == slot) declared = true;
+            }
+            if (!declared || e.oc.seq != 1) return false;
+        }
+        prev_seq = e.oc.seq;
+        prev_entry_epoch = e.oc.epoch;
     }
     return true;
 }
@@ -310,11 +318,10 @@ void Replica::adopt_view_start(const ViewStart& vs) {
     audit_replay_ = true;  // merge may re-append slots already reported
     apply_merged_log(vs.msgs, /*epoch_change=*/vs.new_view.epoch > view_.epoch);
     audit_replay_ = false;
+    // An epoch-change merge may truncate the log below the previously
+    // reported frontier without re-appending anything.
+    audit_frontier(log_.size());
     if (auditor_) {
-        // Frontier reset: an epoch-change merge may truncate the log below
-        // the previously reported frontier without re-appending anything.
-        auditor_->on_execute(sim().current_shard(), sim().now(), id(), log_.size(), 0, true,
-                             /*replay=*/true, cfg_.group);
         // The adopted log is a pure function of the VIEW-START message, so
         // its canonical bytes stand in for the decision: two replicas
         // reporting different digests at the same view means the leader
@@ -452,44 +459,11 @@ void Replica::apply_merged_log(const std::vector<ViewChange>& msgs, bool epoch_c
         }
     }
 
-    // Undo application ops from the top down to the divergence point.
-    if (pending_ckpt_.has_value() && pending_ckpt_->slot >= first_div) pending_ckpt_.reset();
-    for (std::uint64_t s = log_.size(); s >= first_div && s >= 1; --s) {
-        if (!log_.has(s)) break;
-        LogEntry& e = log_.at(s);
-        if (e.applied) {
-            app_->undo_last();
-            e.applied = false;
-        }
-        if (s == first_div) break;
-    }
-    if (first_div <= log_.size()) log_.truncate_to(first_div - 1);
-    executed_ = log_.size();
-
-    // Append and execute the merged entries, then our preserved tail.
-    for (std::uint64_t s = first_div; s <= merged_end; ++s) {
-        const WireLogEntry& w = merged.at(s);
-        if (w.noop) {
-            LogEntry entry;
-            entry.cert = w.gap_cert;
-            log_.append(std::move(entry));
-            log_.at(s).executed = true;
-            executed_ = s;
-        } else {
-            append_request(w.oc);
-        }
-    }
-    for (const auto& w : spare_tail) {
-        if (w.noop) {
-            LogEntry entry;
-            entry.cert = w.gap_cert;
-            log_.append(std::move(entry));
-            log_.at(log_.size()).executed = true;
-            executed_ = log_.size();
-        } else {
-            append_request(w.oc);
-        }
-    }
+    // Rewind to the divergence point, then append and execute the merged
+    // entries and our preserved tail.
+    rewind_to(first_div);
+    for (std::uint64_t s = first_div; s <= merged_end; ++s) append_entry(merged.at(s));
+    for (const auto& w : spare_tail) append_entry(w);
 
     if (max_epoch != 0) {
         epoch_start_slot_[max_epoch] = max_epoch_start;
@@ -654,13 +628,7 @@ void Replica::on_state_reply(NodeId from, Reader& r) {
     for (std::size_t i = 0; i < reply.entries.size(); ++i) {
         std::uint64_t slot = reply.base_slot + i + 1;
         const WireLogEntry& e = reply.entries[i];
-        if (e.noop) {
-            if (e.gap_cert.recv || e.gap_cert.slot != slot) return;
-            if (!verify_gap_certificate(e.gap_cert, cfg_, *crypto_)) return;
-        } else {
-            if (crypto_->hash(e.oc.payload) != e.oc.digest) return;
-            if (!aom::verify_cert(e.oc, receiver_->verify_context())) return;
-        }
+        if (!valid_entry(e, slot)) return;
         if (first_div == 0 && (!log_.has(slot) || !entries_equal(e, log_.at(slot)))) {
             first_div = slot;
         }
@@ -668,36 +636,12 @@ void Replica::on_state_reply(NodeId from, Reader& r) {
     if (first_div != 0 && first_div <= log_.base()) return;  // stable prefix never rolls back
     if (first_div != 0) {
         audit_replay_ = true;  // state transfer rebuilds already-reported slots
-        if (pending_ckpt_.has_value() && pending_ckpt_->slot >= first_div) pending_ckpt_.reset();
-        for (std::uint64_t s = log_.size(); s >= first_div && log_.has(s); --s) {
-            LogEntry& e = log_.at(s);
-            if (e.applied) {
-                app_->undo_last();
-                e.applied = false;
-            }
-            if (s == first_div) break;
-        }
-        if (first_div <= log_.size()) log_.truncate_to(first_div - 1);
-        executed_ = log_.size();
-        for (std::size_t i = 0; i < reply.entries.size(); ++i) {
-            std::uint64_t slot = reply.base_slot + i + 1;
-            if (slot < first_div) continue;
-            const WireLogEntry& e = reply.entries[i];
-            if (e.noop) {
-                LogEntry entry;
-                entry.cert = e.gap_cert;
-                log_.append(std::move(entry));
-                log_.at(slot).executed = true;
-                executed_ = slot;
-            } else {
-                append_request(e.oc);
-            }
+        rewind_to(first_div);
+        for (std::size_t i = first_div - reply.base_slot - 1; i < reply.entries.size(); ++i) {
+            append_entry(reply.entries[i]);
         }
         audit_replay_ = false;
-        if (auditor_) {
-            auditor_->on_execute(sim().current_shard(), sim().now(), id(), log_.size(), 0,
-                                 true, /*replay=*/true, cfg_.group);
-        }
+        audit_frontier(log_.size());
     }
     state_transfer_active_ = false;
 

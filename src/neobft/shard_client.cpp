@@ -8,6 +8,12 @@ namespace neo::neobft {
 
 namespace {
 
+/// Wait-die retry: backoff before re-asking a shard that said wait, and
+/// how many times one transaction may do so (suits the simulated latency
+/// profile).
+constexpr sim::Time kWaitBackoff = 300 * sim::kMicrosecond;
+constexpr int kMaxWaitRetries = 32;
+
 app::KvStatus parse_status(BytesView reply) {
     auto res = app::KvResult::parse(reply);
     // A malformed reply can only come from our own replica quorum, so it
@@ -62,7 +68,7 @@ void ShardClient::invoke(Bytes txn_op, Callback cb) {
     Pending p;
     p.txn_id = (coordinator_tag_ << 32) | next_txn_++;
     p.n_ops = n_ops;
-    p.wait_retries_left = max_wait_retries_;
+    p.wait_retries_left = kMaxWaitRetries;
     p.cb = std::move(cb);
     // by_shard is a std::map: participants come out in ascending shard
     // index — the canonical lock-acquisition order every coordinator
@@ -111,7 +117,7 @@ void ShardClient::on_prepare_vote(app::KvStatus vote) {
         Client* child = children_[pending_->participants[pending_->next_prepare]];
         pending_->backoff_child = child;
         pending_->backoff_timer = child->set_timer(
-            wait_backoff_, [this] { send_next_prepare(); }, "client-run-after");
+            kWaitBackoff, [this] { send_next_prepare(); }, "client-run-after");
         return;
     }
     // Abort vote (lock conflict with an older holder, bad request, or the

@@ -74,10 +74,6 @@ class ShardClient {
     /// presumed-abort timeout.
     void abandon();
 
-    /// Wait-die retry knobs (defaults suit the simulated latency profile).
-    void set_wait_backoff(sim::Time t) { wait_backoff_ = t; }
-    void set_max_wait_retries(int n) { max_wait_retries_ = n; }
-
     bool busy() const { return pending_.has_value(); }
     const Stats& stats() const { return stats_; }
     std::size_t n_shards() const { return children_.size(); }
@@ -108,8 +104,6 @@ class ShardClient {
     std::vector<Client*> children_;
     std::uint64_t coordinator_tag_;
     std::uint64_t next_txn_ = 1;
-    sim::Time wait_backoff_ = 300 * sim::kMicrosecond;
-    int max_wait_retries_ = 32;
     std::optional<Pending> pending_;
     Stats stats_;
 };

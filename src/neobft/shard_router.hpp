@@ -43,8 +43,6 @@ class ShardRouter {
     std::size_t shard_index(BytesView key) const { return index_of_hash(key_hash(key)); }
     std::size_t index_of_hash(std::uint64_t h) const;
 
-    GroupId group_at(std::size_t index) const { return ranges_[index].group; }
-
   private:
     struct Range {
         std::uint64_t lo = 0;

@@ -38,10 +38,7 @@ void ByzSequencer::emit(NodeId receiver, sim::Time depart, sim::Packet packet) {
         return;
     }
 
-    if (hits(faults_.drop_mod, seq)) {
-        ++stats_.dropped;
-        return;
-    }
+    if (hits(faults_.drop_mod, seq)) return;
 
     if (hits(faults_.strip_sig_mod, seq)) {
         BytesView v = packet.view();
@@ -53,7 +50,6 @@ void ByzSequencer::emit(NodeId receiver, sim::Time depart, sim::Packet packet) {
                 if (!pk.signature.empty()) {
                     pk.signature.clear();
                     packet = sim::Packet(pk.serialize());
-                    ++stats_.stripped;
                 }
             } catch (const CodecError&) {
             }
@@ -62,15 +58,9 @@ void ByzSequencer::emit(NodeId receiver, sim::Time depart, sim::Packet packet) {
 
     bool corrupt = hits(faults_.corrupt_mod, seq) ||
                    (hits(faults_.equivocate_mod, seq) && (receiver & 1) != 0);
-    if (corrupt) {
-        packet = corrupted_copy(packet);
-        ++stats_.corrupted;
-    }
+    if (corrupt) packet = corrupted_copy(packet);
 
-    if (hits(faults_.dup_mod, seq)) {
-        ++stats_.duplicated;
-        SequencerSwitch::emit(receiver, depart, packet);
-    }
+    if (hits(faults_.dup_mod, seq)) SequencerSwitch::emit(receiver, depart, packet);
     SequencerSwitch::emit(receiver, depart, std::move(packet));
 }
 

@@ -43,14 +43,6 @@ class ByzSequencer : public aom::SequencerSwitch {
     void set_faults(const Faults& f) { faults_ = f; }
     const Faults& faults() const { return faults_; }
 
-    struct Stats {
-        std::uint64_t dropped = 0;
-        std::uint64_t duplicated = 0;
-        std::uint64_t corrupted = 0;
-        std::uint64_t stripped = 0;
-    };
-    const Stats& byz_stats() const { return stats_; }
-
   protected:
     void emit(NodeId receiver, sim::Time depart, sim::Packet packet) override;
 
@@ -61,7 +53,6 @@ class ByzSequencer : public aom::SequencerSwitch {
     sim::Packet corrupted_copy(const sim::Packet& packet);
 
     Faults faults_;
-    Stats stats_;
 };
 
 }  // namespace neo::scenario

@@ -4,14 +4,12 @@
 
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
-#include "sim/costs.hpp"
 
 namespace neo::sim {
 
 ClientCore::ClientCore(std::unique_ptr<crypto::NodeCrypto> crypto, Time retry_timeout)
     : crypto_(std::move(crypto)), retry_timeout_(retry_timeout) {
     set_meter(&crypto_->meter());
-    set_processing_config(host_processing());
 }
 
 void ClientCore::invoke(Bytes op, Callback cb) {

@@ -9,9 +9,7 @@
 // figure.
 #pragma once
 
-#include "crypto/cost.hpp"
 #include "sim/network.hpp"
-#include "sim/processing_node.hpp"
 
 namespace neo::sim {
 
@@ -23,21 +21,6 @@ inline LinkConfig datacenter_link() {
     cfg.drop_rate = 0.0;
     cfg.ns_per_byte = 0.08;  // 100 Gbps
     return cfg;
-}
-
-/// Host endpoint (replica or client) CPU model.
-inline ProcessingConfig host_processing() {
-    ProcessingConfig cfg;
-    cfg.recv_overhead_ns = 1'200;
-    cfg.send_overhead_ns = 700;
-    cfg.timer_overhead_ns = 300;
-    return cfg;
-}
-
-/// Crypto cost table for the testbed-class Xeon (see crypto/cost.hpp for
-/// the sync/async split semantics).
-inline crypto::CryptoCosts host_crypto_costs() {
-    return crypto::CryptoCosts{};
 }
 
 /// Per-request processing inside a batched protocol message (parse, copy,

@@ -30,15 +30,9 @@ class Packet {
     /// the Packet once and passing it around when a buffer is reused.
     Packet(const Bytes& data) : buf_(std::make_shared<const Bytes>(data)) {}
 
-    /// Explicit copy from a non-owning view.
-    static Packet copy_of(BytesView data) { return Packet(Bytes(data.begin(), data.end())); }
-
     BytesView view() const { return buf_ ? BytesView(*buf_) : BytesView(); }
     std::size_t size() const { return buf_ ? buf_->size() : 0; }
     bool empty() const { return size() == 0; }
-
-    /// Number of Packet handles sharing this buffer (instrumentation/tests).
-    long use_count() const { return buf_.use_count(); }
 
   private:
     std::shared_ptr<const Bytes> buf_;

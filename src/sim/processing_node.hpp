@@ -81,7 +81,6 @@ class ProcessingNode : public Node {
     void register_rx_metrics(obs::Registry& reg, const std::string& prefix,
                              KindNameFn name_fn = nullptr);
 
-    const ProcessingConfig& processing_config() const { return cfg_; }
     void set_processing_config(const ProcessingConfig& cfg) { cfg_ = cfg; }
 
     // Sends and timers are public for code that runs on this node without

@@ -100,7 +100,7 @@ struct Deployment {
 
         std::vector<SequencerSwitch*> pool;
         for (auto& sw : switches) pool.push_back(sw.get());
-        config = std::make_unique<ConfigService>(&keys, pool);
+        config = std::make_unique<ConfigService>(pool);
         net.add_node(*config, kConfigId);
         config->register_group(group);
 

@@ -66,7 +66,7 @@ class NeoDeployment {
         }
         std::vector<aom::SequencerSwitch*> pool;
         for (auto& sw : switches) pool.push_back(sw.get());
-        config = std::make_unique<aom::ConfigService>(&keys, pool);
+        config = std::make_unique<aom::ConfigService>(pool);
         net.add_node(*config, kConfigId);
         config->register_group(group);
 

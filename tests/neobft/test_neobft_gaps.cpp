@@ -190,6 +190,69 @@ TEST(NeoGaps, RollbackOnNoOpCommit) {
     EXPECT_EQ(done, 1);  // the client's retry eventually committed
 }
 
+TEST(NeoGaps, SyncCertificateRollsBackAMissedNoOp) {
+    // Replica 2 alone receives slot 1 and executes it, while it is cut off
+    // from its peers as they commit a no-op there. It never blocks, so only
+    // the sync at slot 8 tells it (§B.2): the certificate shipped with the
+    // peers' sync messages rolls slots 1..8 back and re-executes them.
+    DeploymentOptions opts;
+    opts.receiver.gap_timeout = 500 * sim::kMicrosecond;
+    opts.protocol.sync_interval = 8;
+    NeoDeployment d(opts);
+    bool drop_switch = true;
+    bool isolate = true;
+    auto is_replica = [](NodeId n) { return n >= 1 && n <= 4; };
+    d.net.set_tamper([&](NodeId from, NodeId to, Bytes&) {
+        if (drop_switch && from == NeoDeployment::kSwitchBase && to != 2) {
+            return sim::TamperAction::kDrop;
+        }
+        if (isolate && is_replica(from) && is_replica(to) && (from == 2 || to == 2)) {
+            return sim::TamperAction::kDrop;
+        }
+        return sim::TamperAction::kDeliver;
+    });
+
+    Client& client = d.add_client();
+    std::vector<std::string> results;
+    std::function<void(int)> issue = [&](int i) {
+        if (i > 10) return;
+        client.invoke(to_bytes("op-" + std::to_string(i)), [&, i](Bytes r) {
+            results.push_back(to_string(r));
+            if (i > 0) issue(i + 1);
+        });
+    };
+    issue(0);
+    d.sim.run_until(3 * sim::kMillisecond);
+    drop_switch = false;
+    // The client's retry (10 ms) lands op-0 in slot 2 everywhere; the
+    // peers of replica 2 then find slot 1 missing and commit a no-op.
+    d.sim.run_until(15 * sim::kMillisecond);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(d.replicas[1]->stats().requests_executed, 1u);
+    EXPECT_FALSE(d.replicas[1]->log().at(1).noop());
+    for (std::size_t i : {0u, 2u, 3u}) {
+        ASSERT_EQ(d.replicas[i]->log().size(), 2u);
+        EXPECT_TRUE(d.replicas[i]->log().at(1).noop());
+    }
+    isolate = false;
+    issue(1);
+    d.sim.run_until(2 * sim::kSecond);
+
+    ASSERT_EQ(results.size(), 11u);
+    EXPECT_EQ(d.replicas[1]->stats().rollbacks, 1u);
+    for (auto& rep : d.replicas) {
+        ASSERT_EQ(rep->log().size(), 12u) << "replica " << rep->id();
+        EXPECT_TRUE(rep->log().at(1).noop()) << "replica " << rep->id();
+        EXPECT_EQ(rep->sync_point(), 8u) << "replica " << rep->id();
+        // op-0 runs once, in slot 2, everywhere: replica 2's run of it in
+        // slot 1 was undone.
+        EXPECT_EQ(dynamic_cast<app::EchoApp&>(rep->app()).executed(), 11u)
+            << "replica " << rep->id();
+        EXPECT_EQ(rep->log().hash_at(12), d.replicas[0]->log().hash_at(12));
+    }
+    d.expect_prefix_consistent();
+}
+
 TEST(NeoGaps, GapCertificateInLogIsValid) {
     DeploymentOptions opts;
     opts.receiver.gap_timeout = 500 * sim::kMicrosecond;

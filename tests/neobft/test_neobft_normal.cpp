@@ -96,10 +96,10 @@ TEST(NeoNormal, ByzantineNetworkModeCommits) {
 }
 
 TEST(NeoNormal, ToleratesSilentReplica) {
-    // With f=1 and one silent (Byzantine-quiet) replica, clients still get
+    // With f=1 and one silent (fail-silent) replica, clients still get
     // 2f+1 = 3 matching replies and commit at full speed.
     NeoDeployment d;
-    d.replicas[3]->set_silent(true);
+    d.net.set_node_down(d.replicas[3]->id(), true);
     auto results = d.run_workload(2, 20);
     EXPECT_EQ(results[0].size(), 20u);
     EXPECT_EQ(results[1].size(), 20u);
@@ -109,8 +109,8 @@ TEST(NeoNormal, SevenReplicasF2) {
     DeploymentOptions opts;
     opts.n_replicas = 7;
     NeoDeployment d(opts);
-    d.replicas[5]->set_silent(true);
-    d.replicas[6]->set_silent(true);
+    d.net.set_node_down(d.replicas[5]->id(), true);
+    d.net.set_node_down(d.replicas[6]->id(), true);
     auto results = d.run_workload(2, 10);
     EXPECT_EQ(results[0].size(), 10u);
     EXPECT_EQ(results[1].size(), 10u);

@@ -107,7 +107,7 @@ TEST(NeoViewChange, LeaderFailureDuringGapAgreement) {
 
     // Silence the leader (replica 1, view <1,0>) and drop switch traffic to
     // replica 2 so it needs a QUERY that the dead leader never answers.
-    d.replicas[0]->set_silent(true);
+    d.net.set_node_down(d.replicas[0]->id(), true);
     bool active = true;
     d.net.set_tamper([&](NodeId from, NodeId to, Bytes&) {
         if (active && from >= NeoDeployment::kSwitchBase && to == 2) {
